@@ -1,6 +1,7 @@
 #include "backends/backend.h"
 
 #include <functional>
+#include <utility>
 
 #include "backends/bytecode_backend.h"
 #include "backends/irgen_backend.h"
@@ -21,6 +22,19 @@ const char* BackendKindName(BackendKind kind) {
       return "irgen";
   }
   return "?";
+}
+
+util::Status Backend::Compile(CompileRequest request,
+                              std::unique_ptr<CompiledUnit>* out) {
+  CARAC_CHECK(request.subtree != nullptr);
+  int reorders = 0;
+  if (request.reorder) {
+    reorders = optimizer::ReorderSubtree(request.stats, request.join_config,
+                                         request.subtree.get());
+  }
+  CARAC_RETURN_IF_ERROR(CompileOrdered(std::move(request), out));
+  (*out)->reorders_ = reorders;
+  return util::Status::Ok();
 }
 
 std::unique_ptr<Backend> MakeBackend(BackendKind kind) {

@@ -52,6 +52,14 @@ class CompiledUnit {
                    ir::IROp& original) = 0;
   /// Diagnostic label ("lambda", "bytecode[17 insns]", ...).
   virtual std::string Describe() const = 0;
+
+  /// Subqueries whose atom order the §IV join ordering changed while
+  /// this unit was compiled (0 when the request did not reorder).
+  int reorders() const { return reorders_; }
+
+ private:
+  friend class Backend;
+  int reorders_ = 0;
 };
 
 /// A compilation target.
@@ -59,10 +67,19 @@ class Backend {
  public:
   virtual ~Backend() = default;
   virtual BackendKind kind() const = 0;
-  /// Compiles the request into a unit. May be called from a compiler
-  /// thread; must not touch live databases (only the request's snapshot).
-  virtual util::Status Compile(CompileRequest request,
-                               std::unique_ptr<CompiledUnit>* out) = 0;
+  /// Compiles the request into a unit: applies the §IV join ordering to
+  /// the subtree when `request.reorder` is set, recording the number of
+  /// reordered subqueries on the unit, then hands the ordered subtree to
+  /// the target. May be called from a compiler thread; must not touch
+  /// live databases (only the request's snapshot).
+  util::Status Compile(CompileRequest request,
+                       std::unique_ptr<CompiledUnit>* out);
+
+ protected:
+  /// The target-specific part of Compile(): `request.subtree` is already
+  /// in its final atom order.
+  virtual util::Status CompileOrdered(CompileRequest request,
+                                      std::unique_ptr<CompiledUnit>* out) = 0;
 };
 
 /// Factory. Quotes accepts optional overrides via environment variables

@@ -1,7 +1,7 @@
 #include "backends/bytecode.h"
 
 #include "datalog/builtins.h"
-#include "ir/range_access.h"
+#include "ir/access_path.h"
 #include "util/status.h"
 
 namespace carac::backends {
@@ -70,12 +70,10 @@ struct IterState {
     probe = true;
     if (!(memo_valid && !memo_is_range && memo_rel == relation &&
           memo_col == col && memo_key == value && memo_gen == gen)) {
-      bucket = relation->Probe(col, value);
       if (probe_stats == nullptr || memo_rel != relation || memo_col != col) {
-        probe_stats = profiler->Slot(pred, col);
+        probe_stats = ir::ProbeStatsSlot(profiler, pred, col);
       }
-      probe_stats->point_probes++;
-      probe_stats->point_hits += !bucket.empty();
+      bucket = ir::ProbePoint(*relation, col, value, probe_stats);
       memo_rel = relation;
       memo_col = col;
       memo_key = value;
@@ -121,10 +119,10 @@ struct IterState {
       return;
     }
     if (probe_stats == nullptr || memo_rel != relation || memo_col != col) {
-      probe_stats = profiler->Slot(pred, col);
+      probe_stats = ir::ProbeStatsSlot(profiler, pred, col);
     }
     const bool taken =
-        ir::TryRangeProbe(*relation, col, range, probe_stats, &range_rows);
+        ir::ProbeRange(*relation, col, range, probe_stats, &range_rows);
     memo_rel = relation;
     memo_col = col;
     memo_lo = range.lo;

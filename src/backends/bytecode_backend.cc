@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "ir/access_path.h"
 #include "util/status.h"
 
 namespace carac::backends {
@@ -225,17 +226,11 @@ class Compiler {
   void CompileJoinAtom(SpjState* s, const AtomSpec& atom) {
     const int32_t iter = s->next_iter++;
 
-    // Access path: first bound, index-supported column (static decision —
-    // the speed advantage over the interpreter's per-execution planning).
-    int32_t probe_col = -1;
-    for (size_t col = 0; col < atom.terms.size(); ++col) {
-      const LocalTerm& t = atom.terms[col];
-      const bool is_bound = !t.is_var || s->bound[t.var];
-      if (is_bound && stats_.HasIndex(atom.predicate, col)) {
-        probe_col = static_cast<int32_t>(col);
-        break;
-      }
-    }
+    // Access path: the shared first-probe-column rule, decided statically
+    // (the speed advantage over the interpreter's per-execution planning).
+    const int32_t probe_col = ir::FirstProbeColumn(
+        atom, [&](ir::LocalVar v) { return s->bound[v]; },
+        [&](size_t col) { return stats_.HasIndex(atom.predicate, col); });
 
     if (probe_col < 0 && atom.has_range() &&
         stats_.HasIndex(atom.predicate,
@@ -350,13 +345,8 @@ BytecodeProgram CompileToBytecode(const ir::IROp& op,
   return compiler.Compile(op);
 }
 
-util::Status BytecodeBackend::Compile(CompileRequest request,
-                                      std::unique_ptr<CompiledUnit>* out) {
-  CARAC_CHECK(request.subtree != nullptr);
-  if (request.reorder) {
-    optimizer::ReorderSubtree(request.stats, request.join_config,
-                              request.subtree.get());
-  }
+util::Status BytecodeBackend::CompileOrdered(
+    CompileRequest request, std::unique_ptr<CompiledUnit>* out) {
   BytecodeProgram program =
       CompileToBytecode(*request.subtree, request.stats, request.mode);
   *out = std::make_unique<BytecodeUnit>(std::move(request.subtree),

@@ -15,8 +15,10 @@ namespace carac::backends {
 class BytecodeBackend : public Backend {
  public:
   BackendKind kind() const override { return BackendKind::kBytecode; }
-  util::Status Compile(CompileRequest request,
-                       std::unique_ptr<CompiledUnit>* out) override;
+
+ protected:
+  util::Status CompileOrdered(CompileRequest request,
+                              std::unique_ptr<CompiledUnit>* out) override;
 };
 
 /// Compiles one subtree (already reordered) to bytecode. Exposed for tests

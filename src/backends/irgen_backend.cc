@@ -12,13 +12,11 @@ namespace {
 /// the live tree and interprets it.
 class IRGenUnit : public CompiledUnit {
  public:
-  IRGenUnit(AtomOrderMap orders, int reordered)
-      : orders_(std::move(orders)), reordered_(reordered) {}
+  explicit IRGenUnit(AtomOrderMap orders) : orders_(std::move(orders)) {}
 
-  void Run(ir::ExecContext& ctx, ir::Interpreter& interp,
+  void Run(ir::ExecContext& /*ctx*/, ir::Interpreter& interp,
            ir::IROp& original) override {
     ApplyAtomOrders(orders_, &original);
-    if (reordered_ > 0) ctx.stats().reorders += reordered_;
     interp.ExecuteNode(original);
   }
 
@@ -28,21 +26,13 @@ class IRGenUnit : public CompiledUnit {
 
  private:
   AtomOrderMap orders_;
-  int reordered_;
 };
 
 }  // namespace
 
-util::Status IRGeneratorBackend::Compile(CompileRequest request,
-                                         std::unique_ptr<CompiledUnit>* out) {
-  CARAC_CHECK(request.subtree != nullptr);
-  int reordered = 0;
-  if (request.reorder) {
-    reordered = optimizer::ReorderSubtree(request.stats, request.join_config,
-                                          request.subtree.get());
-  }
-  *out = std::make_unique<IRGenUnit>(CollectAtomOrders(*request.subtree),
-                                     reordered);
+util::Status IRGeneratorBackend::CompileOrdered(
+    CompileRequest request, std::unique_ptr<CompiledUnit>* out) {
+  *out = std::make_unique<IRGenUnit>(CollectAtomOrders(*request.subtree));
   return util::Status::Ok();
 }
 

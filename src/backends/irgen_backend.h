@@ -13,8 +13,10 @@ namespace carac::backends {
 class IRGeneratorBackend : public Backend {
  public:
   BackendKind kind() const override { return BackendKind::kIRGenerator; }
-  util::Status Compile(CompileRequest request,
-                       std::unique_ptr<CompiledUnit>* out) override;
+
+ protected:
+  util::Status CompileOrdered(CompileRequest request,
+                              std::unique_ptr<CompiledUnit>* out) override;
 };
 
 }  // namespace carac::backends

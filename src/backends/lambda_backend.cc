@@ -129,13 +129,8 @@ size_t CountNodes(const ir::IROp& op) {
 
 }  // namespace
 
-util::Status LambdaBackend::Compile(CompileRequest request,
-                                    std::unique_ptr<CompiledUnit>* out) {
-  CARAC_CHECK(request.subtree != nullptr);
-  if (request.reorder) {
-    optimizer::ReorderSubtree(request.stats, request.join_config,
-                              request.subtree.get());
-  }
+util::Status LambdaBackend::CompileOrdered(
+    CompileRequest request, std::unique_ptr<CompiledUnit>* out) {
   ir::IROp* tree = request.subtree.get();
   const bool snippet = request.mode == CompileMode::kSnippet;
   Thunk thunk = snippet ? CompileSnippet(tree) : CompileFull(tree);

@@ -12,8 +12,10 @@ namespace carac::backends {
 class LambdaBackend : public Backend {
  public:
   BackendKind kind() const override { return BackendKind::kLambda; }
-  util::Status Compile(CompileRequest request,
-                       std::unique_ptr<CompiledUnit>* out) override;
+
+ protected:
+  util::Status CompileOrdered(CompileRequest request,
+                              std::unique_ptr<CompiledUnit>* out) override;
 };
 
 }  // namespace carac::backends

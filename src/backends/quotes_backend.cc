@@ -221,14 +221,8 @@ void ClearQuotesCache() {
   Cache().entries.clear();
 }
 
-util::Status QuotesBackend::Compile(CompileRequest request,
-                                    std::unique_ptr<CompiledUnit>* out) {
-  CARAC_CHECK(request.subtree != nullptr);
-  if (request.reorder) {
-    optimizer::ReorderSubtree(request.stats, request.join_config,
-                              request.subtree.get());
-  }
-
+util::Status QuotesBackend::CompileOrdered(
+    CompileRequest request, std::unique_ptr<CompiledUnit>* out) {
   QuotesPools pools;
   const std::string source = GenerateQuotesSource(
       *request.subtree, request.stats, request.mode, &pools);

@@ -24,11 +24,12 @@ namespace carac::backends {
 class QuotesBackend : public Backend {
  public:
   BackendKind kind() const override { return BackendKind::kQuotes; }
-  util::Status Compile(CompileRequest request,
-                       std::unique_ptr<CompiledUnit>* out) override;
-
   /// True if the previous Compile() was served from the source cache.
   bool last_was_cache_hit() const { return last_cache_hit_; }
+
+ protected:
+  util::Status CompileOrdered(CompileRequest request,
+                              std::unique_ptr<CompiledUnit>* out) override;
 
  private:
   bool last_cache_hit_ = false;

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "ir/access_path.h"
 #include "util/status.h"
 
 namespace carac::backends {
@@ -215,15 +216,9 @@ class Generator {
     const std::string it = "it" + std::to_string(i);
     const std::string row = "r" + std::to_string(i);
 
-    int32_t probe_col = -1;
-    for (size_t col = 0; col < atom.terms.size(); ++col) {
-      const LocalTerm& t = atom.terms[col];
-      const bool is_bound = !t.is_var || bound_[t.var];
-      if (is_bound && stats_.HasIndex(atom.predicate, col)) {
-        probe_col = static_cast<int32_t>(col);
-        break;
-      }
-    }
+    const int32_t probe_col = ir::FirstProbeColumn(
+        atom, [&](ir::LocalVar v) { return bound_[v]; },
+        [&](size_t col) { return stats_.HasIndex(atom.predicate, col); });
 
     const std::string pred = std::to_string(atom.predicate) + "u";
     const std::string db = std::to_string(static_cast<int>(atom.source)) + "u";

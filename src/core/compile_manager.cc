@@ -106,6 +106,7 @@ void CompileManager::StoreResult(
     if (first_error_.ok()) first_error_ = status;
     return;
   }
+  reorders_ += static_cast<uint64_t>(unit->reorders());
   auto it = ready_.find(node_id);
   if (it != ready_.end()) {
     // The evaluator may still be running the stale unit: retire it.

@@ -1,6 +1,7 @@
 #ifndef CARAC_CORE_COMPILE_MANAGER_H_
 #define CARAC_CORE_COMPILE_MANAGER_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -53,6 +54,12 @@ class CompileManager {
 
   size_t compiles_completed();
 
+  /// Subqueries reordered by the compiles completed since the last call
+  /// (each unit's CompiledUnit::reorders(), counted once when the unit
+  /// is stored); resets the tally. The evaluator folds it into
+  /// ExecStats::reorders.
+  uint64_t TakeReorders() { return reorders_.exchange(0); }
+
  private:
   struct Job {
     uint32_t node_id;
@@ -78,6 +85,7 @@ class CompileManager {
   std::vector<std::unique_ptr<backends::CompiledUnit>> retired_;
   util::Status first_error_;
   size_t completed_ = 0;
+  std::atomic<uint64_t> reorders_{0};
   bool worker_busy_ = false;
   bool shutdown_ = false;
   std::thread worker_;

@@ -81,8 +81,7 @@ bool Jit::MaybeRunCompiled(ir::IROp& op, ir::ExecContext& ctx,
         if (unit == nullptr) return false;  // Compile failed: interpret.
       }
     }
-    ctx.stats().compiled_invocations++;
-    unit->Run(ctx, interp, op);
+    RunUnit(unit, op, ctx, interp);
     return true;
   }
 
@@ -104,15 +103,17 @@ bool Jit::MaybeRunCompiled(ir::IROp& op, ir::ExecContext& ctx,
   }
   unit = manager_->GetReady(op.node_id);
   if (unit == nullptr) return false;
-  ctx.stats().compiled_invocations++;
-  unit->Run(ctx, interp, op);
+  RunUnit(unit, op, ctx, interp);
   return true;
 }
 
-void Jit::BeforeSubquery(ir::IROp& /*op*/, ir::ExecContext& /*ctx*/) {
-  // Reordering is applied uniformly through compiled units (the
-  // IRGenerator unit rewrites the live tree), so no extra work is needed
-  // at subquery entry. The hook remains a safe point for extensions.
+void Jit::RunUnit(backends::CompiledUnit* unit, ir::IROp& op,
+                  ir::ExecContext& ctx, ir::Interpreter& interp) {
+  // Every compile that completed since the last compiled run — blocking
+  // or on the compiler thread — is counted here, once.
+  ctx.stats().reorders += manager_->TakeReorders();
+  ctx.stats().compiled_invocations++;
+  unit->Run(ctx, interp, op);
 }
 
 void Jit::Deoptimize(uint32_t node_id) {

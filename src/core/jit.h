@@ -50,7 +50,6 @@ class Jit : public ir::JitController {
 
   bool MaybeRunCompiled(ir::IROp& op, ir::ExecContext& ctx,
                         ir::Interpreter& interp) override;
-  void BeforeSubquery(ir::IROp& op, ir::ExecContext& ctx) override;
 
   /// Explicit deoptimization: drops the node's compiled unit so execution
   /// reverts to interpretation until the next (re)compilation.
@@ -64,6 +63,8 @@ class Jit : public ir::JitController {
   bool AtGranularity(const ir::IROp& op) const;
   backends::CompileRequest MakeRequest(const ir::IROp& op,
                                        const ir::ExecContext& ctx) const;
+  void RunUnit(backends::CompiledUnit* unit, ir::IROp& op,
+               ir::ExecContext& ctx, ir::Interpreter& interp);
 
   JitConfig config_;
   std::unique_ptr<backends::Backend> backend_;

@@ -1,9 +1,5 @@
 #include "ir/exec_context.h"
 
-#include <algorithm>
-
-#include "core/worker_pool.h"
-
 namespace carac::ir {
 
 const char* EngineStyleName(EngineStyle style) {
@@ -45,27 +41,6 @@ void MergeStagedDelta(ExecContext& ctx, storage::RelationId target,
   }
   ctx.stats().tuples_considered += emitted;
   ctx.stats().tuples_inserted += inserted;
-}
-
-bool ShardSubqueryAcrossPool(ExecContext& ctx, storage::RelationId target,
-                             size_t outer_rows, size_t arity,
-                             const SubqueryShardFn& shard_fn) {
-  core::WorkerPool* pool = ctx.worker_pool();
-  if (pool == nullptr || pool->num_threads() <= 1) return false;
-  if (outer_rows < ctx.parallel_min_rows()) return false;
-  const int shards = pool->num_threads();
-  std::vector<storage::StagingBuffer>& staging = ctx.StagingFor(shards, arity);
-  std::vector<uint64_t> considered(static_cast<size_t>(shards), 0);
-  const size_t chunk =
-      (outer_rows + static_cast<size_t>(shards) - 1) / shards;
-  pool->Run(shards, [&](int shard) {
-    const size_t begin = chunk * static_cast<size_t>(shard);
-    const size_t end = std::min(begin + chunk, outer_rows);
-    if (begin >= end) return;
-    shard_fn(shard, begin, end, &staging[shard], &considered[shard]);
-  });
-  MergeStagedDelta(ctx, target, staging, shards, considered.data());
-  return true;
 }
 
 ExecStats ExecStats::Delta(const ExecStats& after, const ExecStats& before) {

@@ -1,19 +1,16 @@
 #ifndef CARAC_IR_EXEC_CONTEXT_H_
 #define CARAC_IR_EXEC_CONTEXT_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/worker_pool.h"
 #include "storage/database.h"
 #include "storage/staging_buffer.h"
-
-namespace carac::core {
-class WorkerPool;
-}  // namespace carac::core
 
 namespace carac::ir {
 
@@ -201,32 +198,38 @@ void MergeStagedDelta(ExecContext& ctx, storage::RelationId target,
                       std::vector<storage::StagingBuffer>& buffers,
                       int shards, const uint64_t* considered);
 
-/// One shard of a parallel subquery: evaluate outer positions
-/// [begin, end), staging emissions into `staging` and the local emission
-/// count into `considered`.
-using SubqueryShardFn =
-    std::function<void(int shard, size_t begin, size_t end,
-                       storage::StagingBuffer* staging,
-                       uint64_t* considered)>;
-
-/// The pull engine's shard-dispatch scaffolding: gates on the dispatch
-/// threshold, re-arms one staging buffer per pool thread, fans
-/// `shard_fn` out over contiguous position ranges of [0, outer_rows),
-/// then merges the staged results in shard order (MergeStagedDelta).
-/// Returns false — nothing dispatched — when the subquery should run
-/// single-threaded. Callers check worker_pool() themselves first so the
-/// single-threaded path never pays for computing `outer_rows`.
+/// Shards a subquery's outer sequence — positions [0, outer_rows) — by
+/// contiguous ranges across the worker pool, then merges the staged
+/// results in shard order (MergeStagedDelta), which replays exactly the
+/// single-threaded emission sequence. `shard_fn(shard, begin, end,
+/// staging, considered)` evaluates positions [begin, end), staging its
+/// emissions and its local emission count. Returns false — nothing
+/// dispatched — when the subquery should run single-threaded: no pool,
+/// or an outer sequence below the dispatch threshold.
 ///
-/// The push interpreter repeats this chunking inline
-/// (interpreter.cc SubqueryRun::RunSharded) rather than calling it:
-/// funnelling its dispatch through this std::function signature
-/// perturbed GCC 12's inlining of the recursive join and cost ~15% on
-/// single-threaded interpreted macrobenchmarks. Keep the two copies of
-/// the chunk math identical — the fuzz matrix (push == pull at every
-/// thread count) catches a divergence.
-bool ShardSubqueryAcrossPool(ExecContext& ctx, storage::RelationId target,
-                             size_t outer_rows, size_t arity,
-                             const SubqueryShardFn& shard_fn);
+/// The push and pull engines both shard through this one template. The
+/// callable is a template parameter, not a std::function, so the push
+/// interpreter's recursive join keeps its single-threaded inlining.
+template <typename ShardFn>
+bool ShardAcrossPool(ExecContext& ctx, storage::RelationId target,
+                     size_t outer_rows, size_t arity, ShardFn&& shard_fn) {
+  core::WorkerPool* pool = ctx.worker_pool();
+  if (pool == nullptr || pool->num_threads() <= 1) return false;
+  if (outer_rows < ctx.parallel_min_rows()) return false;
+  const int shards = pool->num_threads();
+  std::vector<storage::StagingBuffer>& staging = ctx.StagingFor(shards, arity);
+  std::vector<uint64_t> considered(static_cast<size_t>(shards), 0);
+  const size_t chunk =
+      (outer_rows + static_cast<size_t>(shards) - 1) / shards;
+  pool->Run(shards, [&](int shard) {
+    const size_t begin = chunk * static_cast<size_t>(shard);
+    const size_t end = std::min(begin + chunk, outer_rows);
+    if (begin >= end) return;
+    shard_fn(shard, begin, end, &staging[shard], &considered[shard]);
+  });
+  MergeStagedDelta(ctx, target, staging, shards, considered.data());
+  return true;
+}
 
 }  // namespace carac::ir
 

@@ -8,9 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/worker_pool.h"
 #include "datalog/builtins.h"
-#include "ir/range_access.h"
+#include "ir/access_path.h"
 #include "util/status.h"
 
 namespace carac::ir {
@@ -22,42 +21,20 @@ using datalog::BuiltinOp;
 using storage::Relation;
 using storage::RowId;
 using storage::Tuple;
-using storage::TupleView;
 using storage::Value;
-
-/// Per-column behaviour of one relational atom, precomputed per execution
-/// (atom order can change between executions, so boundness is dynamic).
-struct TermAction {
-  enum class Kind : uint8_t { kCheckConst, kCheckVar, kBind };
-  Kind kind;
-  uint32_t col;
-  Value constant = 0;
-  LocalVar var = -1;
-};
 
 /// For arithmetic builtins: what to do with the output term.
 enum class OutMode : uint8_t { kBind, kCheckVar, kCheckConst };
 
+/// One atom's execution plan, built per execution (atom order can change
+/// between executions, so boundness is dynamic).
 struct AtomPlan {
   const AtomSpec* atom = nullptr;
   const Relation* rel = nullptr;  // Relational atoms only.
-  std::vector<TermAction> actions;
-  // Access path: probe an index on probe_col (value from a constant or an
-  // already-bound variable), or scan when probe_col < 0.
-  int32_t probe_col = -1;
-  bool probe_is_const = false;
-  Value probe_const = 0;
-  LocalVar probe_var = -1;
+  // Positive relational atoms: column checks/binds and the access path.
+  std::vector<ColAction> actions;
+  AccessPath access;
   OutMode out_mode = OutMode::kBind;  // Arithmetic builtins only.
-  // Runtime access counters for (predicate, probe_col), resolved at
-  // plan-build time so the join loops pay plain increments. Non-null iff
-  // probe_col >= 0.
-  ColumnProbeStats* probe_stats = nullptr;
-  // Range pushdown: non-null iff the atom carries annotated bounds on an
-  // indexed column AND no point probe applies (a point probe always
-  // wins). Counters for (predicate, range_col); the join resolves the
-  // bounds per outer binding and may serve the atom via TryRangeProbe.
-  ColumnProbeStats* range_stats = nullptr;
 };
 
 /// The join executor. Stack-allocated per subquery evaluation.
@@ -102,68 +79,28 @@ class SubqueryRun {
   }
 
  private:
-  /// Shards the outer atom's row sequence by contiguous position ranges
-  /// across the worker pool, then merges the staged results in shard
-  /// order — which replays exactly the single-threaded emission sequence,
-  /// so DeltaNew ends up byte-identical (contents, insertion order and
-  /// RowIds) for every thread count. Returns false when the subquery
-  /// must (or should) run single-threaded: no pool, a leading builtin or
-  /// negation, or an outer scan too small to amortize dispatch.
-  ///
-  /// The dispatch math here deliberately DUPLICATES ShardSubqueryAcrossPool
-  /// (exec_context.cc, used by the pull engine) instead of calling it:
-  /// routing this body through the std::function-taking helper perturbed
-  /// GCC 12's inlining of the recursive Join<> enough to cost ~15% on the
-  /// single-threaded interpreted macrobenchmarks (measured by interleaved
-  /// A/B on CSPA-unoptimized). Any change to the chunking below must be
-  /// mirrored there — the fuzz matrix (push == pull at every thread
-  /// count) is the net that catches a divergence.
+  /// Shards the outer atom's row sequence across the worker pool (see
+  /// ShardAcrossPool); the in-order merge keeps DeltaNew byte-identical
+  /// (contents, insertion order and RowIds) for every thread count.
+  /// Returns false when the subquery must (or should) run
+  /// single-threaded: no pool, a leading builtin or negation, or an outer
+  /// sequence too small to amortize dispatch.
   bool RunSharded() {
-    core::WorkerPool* pool = ctx_.worker_pool();
-    if (pool == nullptr || pool->num_threads() <= 1) return false;
-    if (plan_.empty()) return false;
-    const AtomPlan& outer = plan_[0];
+    if (ctx_.worker_pool() == nullptr || plan_.empty()) return false;
+    AtomPlan& outer = plan_[0];
     if (outer.rel == nullptr || outer.atom->negated) return false;
-    // The outer sequence: an index bucket when the first atom probes (no
-    // variable is bound before atom 0, so the key is always a constant),
-    // the range-probe row list when atom 0 carries const bounds the
-    // index will serve, the full RowId range otherwise. This sizing pass
-    // must resolve the range exactly as the workers will (deterministic:
-    // same bounds, same index state) but records no stats — the workers
-    // do, into their shard profilers.
-    size_t outer_rows;
-    if (outer.probe_col >= 0) {
-      outer_rows = outer.rel
-                       ->Probe(static_cast<size_t>(outer.probe_col),
-                               outer.probe_const)
-                       .size();
-    } else if (outer.range_stats != nullptr &&
-               TryRangeProbe(*outer.rel,
-                             static_cast<size_t>(outer.atom->range_col),
-                             ResolveRange(*outer.atom, binding_.data()),
-                             nullptr, &range_scratch_[0])) {
-      outer_rows = range_scratch_[0].size();
-    } else {
-      outer_rows = outer.rel->NumRows();
-    }
-    if (outer_rows < ctx_.parallel_min_rows()) return false;
-    const int shards = pool->num_threads();
-    std::vector<storage::StagingBuffer>& staging =
-        ctx_.StagingFor(shards, op_.head_terms.size());
-    std::vector<uint64_t> considered(static_cast<size_t>(shards), 0);
-    const size_t chunk =
-        (outer_rows + static_cast<size_t>(shards) - 1) / shards;
-    pool->Run(shards, [&](int shard) {
-      const size_t begin = chunk * static_cast<size_t>(shard);
-      const size_t end = std::min(begin + chunk, outer_rows);
-      if (begin >= end) return;
-      SubqueryRun worker(ctx_, op_);
-      // Worker-private counters, merged by MergeStagedDelta below.
-      worker.profiler_ = ctx_.ShardProfiler(shard);
-      worker.RunShard(begin, end, &staging[shard], &considered[shard]);
-    });
-    MergeStagedDelta(ctx_, op_.target, staging, shards, considered.data());
-    return true;
+    // No variable is bound before atom 0, so every shard opens the same
+    // sequence this sizes; the workers record the probes.
+    const size_t outer_rows = outer.access.Size(binding_.data());
+    return ShardAcrossPool(
+        ctx_, op_.target, outer_rows, op_.head_terms.size(),
+        [&](int shard, size_t begin, size_t end,
+            storage::StagingBuffer* staging, uint64_t* considered) {
+          SubqueryRun worker(ctx_, op_);
+          // Worker-private counters, merged by MergeStagedDelta.
+          worker.profiler_ = ctx_.ShardProfiler(shard);
+          worker.RunShard(begin, end, staging, considered);
+        });
   }
 
   void BuildPlan() {
@@ -194,49 +131,10 @@ class SubqueryRun {
         plan_.push_back(std::move(p));
         continue;
       }
-      // Probe keys must be available *before* the atom runs: a variable
-      // first bound by this very atom (e.g. the second x of R(x, x)) is a
-      // within-row check, not a probe key.
-      const std::vector<bool> bound_before = bound;
-      for (uint32_t col = 0; col < atom.terms.size(); ++col) {
-        const LocalTerm& t = atom.terms[col];
-        TermAction action;
-        action.col = col;
-        if (!t.is_var) {
-          action.kind = TermAction::Kind::kCheckConst;
-          action.constant = t.constant;
-        } else if (bound[t.var]) {
-          action.kind = TermAction::Kind::kCheckVar;
-          action.var = t.var;
-        } else {
-          action.kind = TermAction::Kind::kBind;
-          action.var = t.var;
-          bound[t.var] = true;
-        }
-        // Pick the first index-supported column whose key is known before
-        // the atom executes.
-        if (p.probe_col < 0 && action.kind != TermAction::Kind::kBind &&
-            (!t.is_var || bound_before[t.var]) && p.rel->HasIndex(col)) {
-          p.probe_col = static_cast<int32_t>(col);
-          p.probe_is_const = action.kind == TermAction::Kind::kCheckConst;
-          p.probe_const = action.constant;
-          p.probe_var = action.var;
-        }
-        p.actions.push_back(action);
-      }
-      if (p.probe_col >= 0) {
-        p.probe_stats = profiler_->Slot(atom.predicate,
-                                        static_cast<size_t>(p.probe_col));
-      } else if (atom.has_range() &&
-                 p.rel->HasIndex(static_cast<size_t>(atom.range_col))) {
-        p.range_stats = profiler_->Slot(atom.predicate,
-                                        static_cast<size_t>(atom.range_col));
-      }
+      p.access = AccessPath::Resolve(*p.rel, atom, bound, profiler_);
+      p.actions = BuildColActions(atom, bound);
       plan_.push_back(std::move(p));
     }
-    // One range-row buffer per plan depth: Join() recurses, so an inner
-    // atom's probe must not clobber an outer atom's live row list.
-    range_scratch_.resize(plan_.size());
   }
 
   Value Resolve(const LocalTerm& t) const {
@@ -253,7 +151,7 @@ class SubqueryRun {
       Emit<kStaged>();
       return;
     }
-    const AtomPlan& p = plan_[i];
+    AtomPlan& p = plan_[i];
     const AtomSpec& atom = *p.atom;
 
     if (atom.is_builtin()) {
@@ -287,53 +185,14 @@ class SubqueryRun {
       return;
     }
 
-    auto match = [&](TupleView t) {
-      for (const TermAction& action : p.actions) {
-        const Value v = t[action.col];
-        switch (action.kind) {
-          case TermAction::Kind::kCheckConst:
-            if (v != action.constant) return;
-            break;
-          case TermAction::Kind::kCheckVar:
-            if (v != binding_[action.var]) return;
-            break;
-          case TermAction::Kind::kBind:
-            binding_[action.var] = v;
-            break;
-        }
-      }
-      Join<kStaged>(i + 1);
-    };
-
+    // Each plan depth owns its path (and a range path's row list), so the
+    // recursion below never clobbers an outer atom's live sequence.
     const Relation& rel = *p.rel;
-    if (p.probe_col >= 0) {
-      const Value key =
-          p.probe_is_const ? p.probe_const : binding_[p.probe_var];
-      const storage::RowCursor bucket =
-          rel.Probe(static_cast<size_t>(p.probe_col), key);
-      p.probe_stats->point_probes++;
-      p.probe_stats->point_hits += !bucket.empty();
-      for (RowId row : bucket) {
-        match(rel.View(row));
+    p.access.Open(binding_.data()).ForEach([&](RowId row) {
+      if (ApplyColActions(p.actions, rel.View(row), binding_.data())) {
+        Join<kStaged>(i + 1);
       }
-    } else {
-      if (p.range_stats != nullptr) {
-        const ResolvedRange range = ResolveRange(atom, binding_.data());
-        std::vector<RowId>& rows = range_scratch_[i];
-        if (TryRangeProbe(rel, static_cast<size_t>(atom.range_col), range,
-                          p.range_stats, &rows)) {
-          // The residual comparison builtins still run behind the probe,
-          // so any declined/degraded case below is just the scan path.
-          for (RowId row : rows) {
-            match(rel.View(row));
-          }
-          return;
-        }
-      }
-      for (RowId row = 0, n = rel.NumRows(); row < n; ++row) {
-        match(rel.View(row));
-      }
-    }
+    });
   }
 
   /// The shard workers' outer loop: drives plan_[0] (a positive
@@ -343,58 +202,13 @@ class SubqueryRun {
   /// loop's codegen stays exactly as it was before parallel evaluation
   /// existed.
   void JoinOuterWindow(size_t begin, size_t end) {
-    const AtomPlan& p = plan_[0];
+    AtomPlan& p = plan_[0];
     const Relation& rel = *p.rel;
-
-    auto match = [&](TupleView t) {
-      for (const TermAction& action : p.actions) {
-        const Value v = t[action.col];
-        switch (action.kind) {
-          case TermAction::Kind::kCheckConst:
-            if (v != action.constant) return;
-            break;
-          case TermAction::Kind::kCheckVar:
-            if (v != binding_[action.var]) return;
-            break;
-          case TermAction::Kind::kBind:
-            binding_[action.var] = v;
-            break;
-        }
+    p.access.Open(binding_.data()).ForEach(begin, end, [&](RowId row) {
+      if (ApplyColActions(p.actions, rel.View(row), binding_.data())) {
+        Join<true>(1);
       }
-      Join<true>(1);
-    };
-
-    if (p.probe_col >= 0) {
-      // No variable is bound before atom 0, so the probe key is a const.
-      const storage::RowCursor bucket =
-          rel.Probe(static_cast<size_t>(p.probe_col), p.probe_const);
-      p.probe_stats->point_probes++;
-      p.probe_stats->point_hits += !bucket.empty();
-      const size_t limit = std::min(end, bucket.size());
-      for (size_t pos = std::min(begin, limit); pos < limit; ++pos) {
-        match(rel.View(bucket[pos]));
-      }
-    } else {
-      if (p.range_stats != nullptr) {
-        // Atom-0 bounds are const-only (no variable binds before it), so
-        // every shard resolves the identical row list — positions index
-        // the same sequence RunSharded sized the shards against.
-        const ResolvedRange range = ResolveRange(*p.atom, binding_.data());
-        std::vector<RowId>& rows = range_scratch_[0];
-        if (TryRangeProbe(rel, static_cast<size_t>(p.atom->range_col), range,
-                          p.range_stats, &rows)) {
-          const size_t limit = std::min(end, rows.size());
-          for (size_t pos = std::min(begin, limit); pos < limit; ++pos) {
-            match(rel.View(rows[pos]));
-          }
-          return;
-        }
-      }
-      const size_t limit = std::min(end, static_cast<size_t>(rel.NumRows()));
-      for (size_t row = std::min(begin, limit); row < limit; ++row) {
-        match(rel.View(static_cast<RowId>(row)));
-      }
-    }
+    });
   }
 
   /// True when the first two plan entries form an index nested-loop join
@@ -407,34 +221,14 @@ class SubqueryRun {
     const AtomPlan& inner = plan_[1];
     if (outer.rel == nullptr || outer.atom->negated) return false;
     if (inner.rel == nullptr || inner.atom->negated) return false;
-    return inner.probe_col >= 0 && !inner.probe_is_const;
-  }
-
-  /// Applies one atom's column actions to `t`: false on a failed check,
-  /// true with all binds applied otherwise. (The same loop Join<> runs
-  /// inline; shared here by the two batched passes.)
-  bool ApplyActions(const AtomPlan& p, TupleView t) {
-    for (const TermAction& action : p.actions) {
-      const Value v = t[action.col];
-      switch (action.kind) {
-        case TermAction::Kind::kCheckConst:
-          if (v != action.constant) return false;
-          break;
-        case TermAction::Kind::kCheckVar:
-          if (v != binding_[action.var]) return false;
-          break;
-        case TermAction::Kind::kBind:
-          binding_[action.var] = v;
-          break;
-      }
-    }
-    return true;
+    return inner.access.kind() == AccessPath::Kind::kPoint &&
+           inner.access.key_is_var();
   }
 
   /// Batch-at-a-time outer loop over positions [begin, end) of atom 0's
   /// row sequence. Two passes per window: pass 1 applies atom-0 actions
   /// per outer row and collects the surviving rows' inner probe keys;
-  /// one BatchProbe resolves the whole window (amortizing dispatch,
+  /// one OpenBatch resolves the whole window (amortizing dispatch,
   /// skipping equal-adjacent keys); pass 2 re-applies atom-0 binds per
   /// surviving row (checks already passed — binds are cheap) and joins
   /// atom 1 from the pre-resolved cursor, recursing into Join<>(2). The
@@ -444,38 +238,15 @@ class SubqueryRun {
   /// codegen is fragile under GCC 12 and stays untouched.
   template <bool kStaged>
   void JoinBatchedWindow(size_t begin, size_t end) {
-    const AtomPlan& outer = plan_[0];
+    AtomPlan& outer = plan_[0];
     const AtomPlan& inner = plan_[1];
     const Relation& outer_rel = *outer.rel;
     const Relation& inner_rel = *inner.rel;
-    const size_t inner_col = static_cast<size_t>(inner.probe_col);
     const size_t window = ctx_.probe_batch_window();
+    Value* binding = binding_.data();
 
-    storage::RowCursor outer_bucket;
-    const std::vector<RowId>* outer_range = nullptr;
-    size_t limit;
-    if (outer.probe_col >= 0) {
-      // No variable is bound before atom 0: the key is a const.
-      outer_bucket = outer_rel.Probe(static_cast<size_t>(outer.probe_col),
-                                     outer.probe_const);
-      outer.probe_stats->point_probes++;
-      outer.probe_stats->point_hits += !outer_bucket.empty();
-      limit = std::min(end, outer_bucket.size());
-    } else if (outer.range_stats != nullptr &&
-               TryRangeProbe(outer_rel,
-                             static_cast<size_t>(outer.atom->range_col),
-                             ResolveRange(*outer.atom, binding_.data()),
-                             outer.range_stats, &range_scratch_[0])) {
-      // Const-only bounds (see JoinOuterWindow): the row list is the
-      // same for every shard.
-      outer_range = &range_scratch_[0];
-      limit = std::min(end, outer_range->size());
-    } else {
-      limit = std::min(end, static_cast<size_t>(outer_rel.NumRows()));
-    }
-
-    batch_rows_.clear();
-    batch_keys_.clear();
+    const RowSeq outer_rows = outer.access.Open(binding);
+    const size_t limit = std::min(end, outer_rows.size());
     if (batch_cursors_.size() < window) batch_cursors_.resize(window);
 
     for (size_t pos = std::min(begin, limit); pos < limit;) {
@@ -483,29 +254,21 @@ class SubqueryRun {
       batch_rows_.clear();
       batch_keys_.clear();
       for (; pos < chunk_end; ++pos) {
-        const RowId row = outer.probe_col >= 0 ? outer_bucket[pos]
-                          : outer_range != nullptr
-                              ? (*outer_range)[pos]
-                              : static_cast<RowId>(pos);
-        if (!ApplyActions(outer, outer_rel.View(row))) continue;
+        const RowId row = outer_rows[pos];
+        if (!ApplyColActions(outer.actions, outer_rel.View(row), binding)) {
+          continue;
+        }
         batch_rows_.push_back(row);
-        batch_keys_.push_back(binding_[inner.probe_var]);
+        batch_keys_.push_back(binding[inner.access.key_var()]);
       }
       if (batch_rows_.empty()) continue;
-      inner_rel.BatchProbe(inner_col, batch_keys_.data(),
-                           batch_rows_.size(), batch_cursors_.data());
-      inner.probe_stats->batch_windows++;
-      inner.probe_stats->point_probes += batch_rows_.size();
+      inner.access.OpenBatch(batch_keys_.data(), batch_rows_.size(),
+                             batch_cursors_.data());
       for (size_t k = 0; k < batch_rows_.size(); ++k) {
-        inner.probe_stats->point_hits += !batch_cursors_[k].empty();
-        const TupleView t = outer_rel.View(batch_rows_[k]);
-        for (const TermAction& action : outer.actions) {
-          if (action.kind == TermAction::Kind::kBind) {
-            binding_[action.var] = t[action.col];
-          }
-        }
+        ApplyColBinds(outer.actions, outer_rel.View(batch_rows_[k]), binding);
         batch_cursors_[k].ForEach([&](RowId inner_row) {
-          if (ApplyActions(inner, inner_rel.View(inner_row))) {
+          if (ApplyColActions(inner.actions, inner_rel.View(inner_row),
+                              binding)) {
             Join<kStaged>(2);
           }
         });
@@ -613,9 +376,6 @@ class SubqueryRun {
   std::vector<RowId> batch_rows_;
   std::vector<Value> batch_keys_;
   std::vector<storage::RowCursor> batch_cursors_;
-  // Range-probe row lists, one per plan depth (Join recurses; see
-  // BuildPlan).
-  std::vector<std::vector<RowId>> range_scratch_;
 };
 
 }  // namespace
@@ -657,14 +417,10 @@ void Interpreter::ExecuteNode(IROp& op) {
       return;
     case OpKind::kSpj:
     case OpKind::kAggregate:
-      ExecuteSubquery(op);
+      RunSubquery(*ctx_, op);
       return;
   }
 }
 
-void Interpreter::ExecuteSubquery(IROp& op) {
-  if (jit_ != nullptr) jit_->BeforeSubquery(op, *ctx_);
-  RunSubquery(*ctx_, op);
-}
 
 }  // namespace carac::ir

@@ -21,11 +21,6 @@ class JitController {
   /// executed by compiled code (the interpreter then skips it).
   virtual bool MaybeRunCompiled(IROp& op, ExecContext& ctx,
                                 Interpreter& interp) = 0;
-
-  /// Called immediately before an SPJ/Aggregate is interpreted; may
-  /// permute `op.atoms` in place (the IRGenerator's lowest-granularity
-  /// reordering).
-  virtual void BeforeSubquery(IROp& op, ExecContext& ctx) = 0;
 };
 
 /// Tree-walking evaluator over the IR — Carac's interpretation mode, and
@@ -47,8 +42,6 @@ class Interpreter {
   ExecContext& ctx() { return *ctx_; }
 
  private:
-  void ExecuteSubquery(IROp& op);
-
   ExecContext* ctx_;
   JitController* jit_;
 };

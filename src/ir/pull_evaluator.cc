@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "datalog/builtins.h"
-#include "ir/range_access.h"
+#include "ir/access_path.h"
 #include "util/status.h"
 
 namespace carac::ir {
@@ -17,81 +17,7 @@ using storage::Relation;
 using storage::RowCursor;
 using storage::RowId;
 using storage::Tuple;
-using storage::TupleView;
 using storage::Value;
-
-/// Per-column behaviour of a relational atom, precomputed at
-/// pipeline-build time so the per-row match loop allocates nothing. A
-/// variable's first occurrence within the atom binds; later occurrences
-/// check (R(x, x) filters on its 2nd column). Shared by ScanSource and
-/// the fused BatchedJoinSource.
-struct ColAction {
-  enum class Kind : uint8_t { kCheckConst, kCheckVar, kBind };
-  Kind kind = Kind::kBind;
-  uint32_t col = 0;
-  Value constant = 0;
-  LocalVar var = -1;
-};
-
-/// Builds the action list for `atom`, updating `bound` with the
-/// variables the atom binds.
-std::vector<ColAction> BuildColActions(const AtomSpec& atom,
-                                       std::vector<bool>& bound) {
-  std::vector<ColAction> actions;
-  actions.reserve(atom.terms.size());
-  for (size_t col = 0; col < atom.terms.size(); ++col) {
-    const LocalTerm& t = atom.terms[col];
-    ColAction action;
-    action.col = static_cast<uint32_t>(col);
-    if (!t.is_var) {
-      action.kind = ColAction::Kind::kCheckConst;
-      action.constant = t.constant;
-    } else if (bound[t.var]) {
-      action.kind = ColAction::Kind::kCheckVar;
-      action.var = t.var;
-    } else {
-      action.kind = ColAction::Kind::kBind;
-      action.var = t.var;
-      bound[t.var] = true;
-    }
-    actions.push_back(action);
-  }
-  return actions;
-}
-
-/// Applies `actions` to `row`: false on a failed check, true with all
-/// binds applied otherwise.
-inline bool ApplyColActions(const std::vector<ColAction>& actions,
-                            TupleView row, std::vector<Value>& binding) {
-  for (const ColAction& action : actions) {
-    const Value v = row[action.col];
-    switch (action.kind) {
-      case ColAction::Kind::kCheckConst:
-        if (v != action.constant) return false;
-        break;
-      case ColAction::Kind::kCheckVar:
-        if (v != binding[action.var]) return false;
-        break;
-      case ColAction::Kind::kBind:
-        binding[action.var] = v;
-        break;
-    }
-  }
-  return true;
-}
-
-/// The access path ScanSource (and the fused source) picks for an atom:
-/// the first index-supported column whose probe key is known from the
-/// outer binding before the atom runs, or -1 to scan.
-int32_t PickProbeCol(const Relation& rel, const AtomSpec& atom,
-                     const std::vector<bool>& bound_before) {
-  for (size_t col = 0; col < atom.terms.size(); ++col) {
-    const LocalTerm& t = atom.terms[col];
-    const bool pre_bound = !t.is_var || bound_before[t.var];
-    if (pre_bound && rel.HasIndex(col)) return static_cast<int32_t>(col);
-  }
-  return -1;
-}
 
 /// One Volcano operator: Reset() re-opens it under the current binding
 /// (outer rows are visible through the shared binding array), Next()
@@ -111,12 +37,12 @@ class RowSource {
     (void)end;
   }
 
-  /// Length of the row sequence this source iterates under `binding`,
-  /// taken from the same access path Reset() will choose. The sharder
+  /// Length of the row sequence this source iterates under `binding`:
+  /// AccessPath::Size over the path Reset() opens. The sharder
   /// sizes its outer windows with this so it can never disagree with
   /// what the workers actually scan. Sources that can never lead a
   /// pipeline report 0.
-  virtual size_t SequenceSize(const std::vector<Value>& binding) const {
+  virtual size_t SequenceSize(const std::vector<Value>& binding) {
     (void)binding;
     return 0;
   }
@@ -125,114 +51,48 @@ class RowSource {
 /// Scan / index-probe leaf for one positive relational atom.
 class ScanSource : public RowSource {
  public:
+  // Marks the atom's variables in `bound`. The path resolves against the
+  // variables bound before the atom: path_ is declared before actions_.
   ScanSource(const Relation* rel, const AtomSpec* atom,
-             const std::vector<bool>& bound_before,
-             AccessProfiler* profiler)
-      : rel_(rel), atom_(atom) {
-    std::vector<bool> bound = bound_before;
-    actions_ = BuildColActions(*atom, bound);
-    probe_col_ = PickProbeCol(*rel, *atom, bound_before);
-    if (probe_col_ >= 0) {
-      probe_stats_ = profiler->Slot(atom->predicate,
-                                    static_cast<size_t>(probe_col_));
-    } else if (atom->has_range() &&
-               rel->HasIndex(static_cast<size_t>(atom->range_col))) {
-      // Range pushdown candidate (a point probe always wins): Reset()
-      // resolves the bounds and may serve the scan via TryRangeProbe.
-      range_stats_ = profiler->Slot(atom->predicate,
-                                    static_cast<size_t>(atom->range_col));
-    }
-  }
+             std::vector<bool>& bound, AccessProfiler* profiler)
+      : rel_(rel), path_(AccessPath::Resolve(*rel, *atom, bound, profiler)),
+        actions_(BuildColActions(*atom, bound)) {}
 
   void RestrictOuter(size_t begin, size_t end) override {
     outer_begin_ = begin;
     outer_end_ = end;
   }
 
-  size_t SequenceSize(const std::vector<Value>& binding) const override {
-    if (probe_col_ >= 0) {
-      const LocalTerm& key = atom_->terms[probe_col_];
-      return rel_
-          ->Probe(static_cast<size_t>(probe_col_),
-                  key.is_var ? binding[key.var] : key.constant)
-          .size();
-    }
-    if (range_stats_ != nullptr) {
-      // Mirror Reset()'s access path (same bounds, same index state →
-      // same decision) without recording stats: the sizing pass must not
-      // double-count the probes the shard workers will take.
-      std::vector<RowId> rows;
-      if (TryRangeProbe(*rel_, static_cast<size_t>(atom_->range_col),
-                        ResolveRange(*atom_, binding.data()), nullptr,
-                        &rows)) {
-        return rows.size();
-      }
-    }
-    return rel_->NumRows();
+  size_t SequenceSize(const std::vector<Value>& binding) override {
+    return path_.Size(binding.data());
   }
 
   void Reset(std::vector<Value>& binding) override {
     // The position window is clamped here, once per re-open, so Next()'s
     // per-row bound check costs exactly what it did before parallel
     // evaluation existed.
-    if (probe_col_ >= 0) {
-      const LocalTerm& key = atom_->terms[probe_col_];
-      bucket_ = rel_->Probe(static_cast<size_t>(probe_col_),
-                            key.is_var ? binding[key.var] : key.constant);
-      probe_stats_->point_probes++;
-      probe_stats_->point_hits += !bucket_.empty();
-      use_bucket_ = true;
-    } else if (range_stats_ != nullptr &&
-               TryRangeProbe(*rel_, static_cast<size_t>(atom_->range_col),
-                             ResolveRange(*atom_, binding.data()),
-                             range_stats_, &range_rows_)) {
-      // Declined probes fall through to the scan; the residual builtin
-      // stages behind this one keep the result identical either way.
-      bucket_ = RowCursor(range_rows_.data(), range_rows_.size());
-      use_bucket_ = true;
-    } else {
-      use_bucket_ = false;
-    }
-    if (use_bucket_) {
-      bucket_limit_ = std::min(outer_end_, bucket_.size());
-      bucket_pos_ = std::min(outer_begin_, bucket_limit_);
-    } else {
-      const size_t num_rows = rel_->NumRows();
-      row_limit_ = static_cast<RowId>(std::min(outer_end_, num_rows));
-      row_ = static_cast<RowId>(std::min(outer_begin_,
-                                         static_cast<size_t>(row_limit_)));
-    }
+    rows_ = path_.Open(binding.data());
+    limit_ = std::min(outer_end_, rows_.size());
+    pos_ = std::min(outer_begin_, limit_);
   }
 
   bool Next(std::vector<Value>& binding) override {
-    for (;;) {
-      TupleView row;
-      if (use_bucket_) {
-        if (bucket_pos_ >= bucket_limit_) return false;
-        row = rel_->View(bucket_[bucket_pos_++]);
-      } else {
-        if (row_ >= row_limit_) return false;
-        row = rel_->View(row_++);
+    while (pos_ < limit_) {
+      if (ApplyColActions(actions_, rel_->View(rows_[pos_++]),
+                          binding.data())) {
+        return true;
       }
-      if (ApplyColActions(actions_, row, binding)) return true;
     }
+    return false;
   }
 
  private:
   const Relation* rel_;
-  const AtomSpec* atom_;
+  AccessPath path_;
   std::vector<ColAction> actions_;
-  int32_t probe_col_ = -1;
-  ColumnProbeStats* probe_stats_ = nullptr;  // Non-null iff probe_col_ >= 0.
-  ColumnProbeStats* range_stats_ = nullptr;  // Range candidate (see ctor).
-  std::vector<RowId> range_rows_;  // Owns the rows bucket_ wraps on the
-                                   // range path.
-  bool use_bucket_ = false;
-  RowCursor bucket_;
-  size_t bucket_pos_ = 0;
-  size_t bucket_limit_ = 0;
-  RowId row_ = 0;
-  RowId row_limit_ = 0;
+  RowSeq rows_ = RowSeq::Dense(0);
+  size_t pos_ = 0;
+  size_t limit_ = 0;
   size_t outer_begin_ = 0;
   size_t outer_end_ = static_cast<size_t>(-1);
 };
@@ -309,33 +169,14 @@ class BatchedJoinSource final : public RowSource {
                     const Relation* inner_rel, const AtomSpec* inner_atom,
                     std::vector<bool>& bound, size_t window,
                     AccessProfiler* profiler)
-      : outer_rel_(outer_rel), outer_atom_(outer_atom),
-        inner_rel_(inner_rel), window_(window) {
-    const std::vector<bool> bound_before_outer = bound;
+      : outer_rel_(outer_rel), inner_rel_(inner_rel), window_(window) {
+    outer_path_ = AccessPath::Resolve(*outer_rel, *outer_atom, bound, profiler);
     outer_actions_ = BuildColActions(*outer_atom, bound);
-    outer_probe_col_ = PickProbeCol(*outer_rel, *outer_atom,
-                                    bound_before_outer);
-    if (outer_probe_col_ >= 0) {
-      // Nothing is bound before the first atom, so the key is a const.
-      outer_probe_const_ = outer_atom->terms[outer_probe_col_].constant;
-      outer_probe_stats_ = profiler->Slot(
-          outer_atom->predicate, static_cast<size_t>(outer_probe_col_));
-    } else if (outer_atom->has_range() &&
-               outer_rel->HasIndex(
-                   static_cast<size_t>(outer_atom->range_col))) {
-      outer_range_stats_ = profiler->Slot(
-          outer_atom->predicate, static_cast<size_t>(outer_atom->range_col));
-    }
-    const std::vector<bool> bound_before_inner = bound;
+    inner_path_ = AccessPath::Resolve(*inner_rel, *inner_atom, bound, profiler);
     inner_actions_ = BuildColActions(*inner_atom, bound);
-    inner_probe_col_ = PickProbeCol(*inner_rel, *inner_atom,
-                                    bound_before_inner);
-    CARAC_CHECK(inner_probe_col_ >= 0);
-    inner_probe_stats_ = profiler->Slot(
-        inner_atom->predicate, static_cast<size_t>(inner_probe_col_));
-    const LocalTerm& key = inner_atom->terms[inner_probe_col_];
-    CARAC_CHECK(key.is_var);  // CanFuse gates on a variable key.
-    inner_probe_var_ = key.var;
+    // CanFuse gates on a variable-keyed point probe.
+    CARAC_CHECK(inner_path_.kind() == AccessPath::Kind::kPoint &&
+                inner_path_.key_is_var());
   }
 
   void RestrictOuter(size_t begin, size_t end) override {
@@ -343,46 +184,13 @@ class BatchedJoinSource final : public RowSource {
     outer_end_ = end;
   }
 
-  size_t SequenceSize(const std::vector<Value>& binding) const override {
-    if (outer_probe_col_ >= 0) {
-      return outer_rel_
-          ->Probe(static_cast<size_t>(outer_probe_col_), outer_probe_const_)
-          .size();
-    }
-    if (outer_range_stats_ != nullptr) {
-      // Stats-free mirror of Reset()'s decision, like ScanSource's.
-      std::vector<RowId> rows;
-      if (TryRangeProbe(*outer_rel_,
-                        static_cast<size_t>(outer_atom_->range_col),
-                        ResolveRange(*outer_atom_, binding.data()), nullptr,
-                        &rows)) {
-        return rows.size();
-      }
-    }
-    return outer_rel_->NumRows();
+  size_t SequenceSize(const std::vector<Value>& binding) override {
+    return outer_path_.Size(binding.data());
   }
 
   void Reset(std::vector<Value>& binding) override {
-    outer_range_active_ = false;
-    if (outer_probe_col_ >= 0) {
-      outer_bucket_ = outer_rel_->Probe(
-          static_cast<size_t>(outer_probe_col_), outer_probe_const_);
-      outer_probe_stats_->point_probes++;
-      outer_probe_stats_->point_hits += !outer_bucket_.empty();
-      limit_ = std::min(outer_end_, outer_bucket_.size());
-    } else if (outer_range_stats_ != nullptr &&
-               TryRangeProbe(*outer_rel_,
-                             static_cast<size_t>(outer_atom_->range_col),
-                             ResolveRange(*outer_atom_, binding.data()),
-                             outer_range_stats_, &outer_range_rows_)) {
-      // Const-only bounds (nothing binds before the first atom), so every
-      // shard resolves the identical row list.
-      outer_range_active_ = true;
-      limit_ = std::min(outer_end_, outer_range_rows_.size());
-    } else {
-      limit_ = std::min(outer_end_,
-                        static_cast<size_t>(outer_rel_->NumRows()));
-    }
+    outer_rows_ = outer_path_.Open(binding.data());
+    limit_ = std::min(outer_end_, outer_rows_.size());
     pos_ = std::min(outer_begin_, limit_);
     batch_rows_.clear();
     batch_idx_ = 0;
@@ -391,81 +199,60 @@ class BatchedJoinSource final : public RowSource {
   }
 
   bool Next(std::vector<Value>& binding) override {
+    Value* values = binding.data();
     for (;;) {
       // Drain the current outer row's pre-resolved inner cursor.
       while (cursor_pos_ < cursor_.size()) {
         const RowId inner_row = cursor_[cursor_pos_++];
         if (ApplyColActions(inner_actions_, inner_rel_->View(inner_row),
-                            binding)) {
+                            values)) {
           return true;
         }
       }
       // Advance to the next matched outer row of the window, restoring
       // its binds (its checks passed during the fill pass).
       if (batch_idx_ < batch_rows_.size()) {
-        const TupleView t = outer_rel_->View(batch_rows_[batch_idx_]);
-        for (const ColAction& action : outer_actions_) {
-          if (action.kind == ColAction::Kind::kBind) {
-            binding[action.var] = t[action.col];
-          }
-        }
+        ApplyColBinds(outer_actions_, outer_rel_->View(batch_rows_[batch_idx_]),
+                      values);
         cursor_ = batch_cursors_[batch_idx_];
         cursor_pos_ = 0;
         ++batch_idx_;
         continue;
       }
       // Refill: window the next run of outer positions, collect the
-      // matching rows' probe keys, resolve them in one BatchProbe.
+      // matching rows' probe keys, resolve them in one OpenBatch.
       if (pos_ >= limit_) return false;
       batch_rows_.clear();
       batch_keys_.clear();
       batch_idx_ = 0;
       const size_t chunk_end = std::min(pos_ + window_, limit_);
       for (; pos_ < chunk_end; ++pos_) {
-        const RowId row = outer_probe_col_ >= 0 ? outer_bucket_[pos_]
-                          : outer_range_active_
-                              ? outer_range_rows_[pos_]
-                              : static_cast<RowId>(pos_);
-        if (!ApplyColActions(outer_actions_, outer_rel_->View(row),
-                             binding)) {
+        const RowId row = outer_rows_[pos_];
+        if (!ApplyColActions(outer_actions_, outer_rel_->View(row), values)) {
           continue;
         }
         batch_rows_.push_back(row);
-        batch_keys_.push_back(binding[inner_probe_var_]);
+        batch_keys_.push_back(values[inner_path_.key_var()]);
       }
       if (batch_rows_.empty()) continue;
       if (batch_cursors_.size() < window_) batch_cursors_.resize(window_);
-      inner_rel_->BatchProbe(static_cast<size_t>(inner_probe_col_),
-                             batch_keys_.data(), batch_rows_.size(),
-                             batch_cursors_.data());
-      inner_probe_stats_->batch_windows++;
-      inner_probe_stats_->point_probes += batch_rows_.size();
-      for (size_t k = 0; k < batch_rows_.size(); ++k) {
-        inner_probe_stats_->point_hits += !batch_cursors_[k].empty();
-      }
+      inner_path_.OpenBatch(batch_keys_.data(), batch_rows_.size(),
+                            batch_cursors_.data());
     }
   }
 
  private:
   const Relation* outer_rel_;
-  const AtomSpec* outer_atom_;
   const Relation* inner_rel_;
+  AccessPath outer_path_;
+  AccessPath inner_path_;
   std::vector<ColAction> outer_actions_;
   std::vector<ColAction> inner_actions_;
-  int32_t outer_probe_col_ = -1;
-  Value outer_probe_const_ = 0;
-  ColumnProbeStats* outer_probe_stats_ = nullptr;
-  ColumnProbeStats* outer_range_stats_ = nullptr;
-  std::vector<RowId> outer_range_rows_;
-  bool outer_range_active_ = false;
-  int32_t inner_probe_col_ = -1;
-  ColumnProbeStats* inner_probe_stats_ = nullptr;
-  LocalVar inner_probe_var_ = -1;
   size_t window_;
   size_t outer_begin_ = 0;
   size_t outer_end_ = static_cast<size_t>(-1);
   // Iteration state.
-  RowCursor outer_bucket_;
+  RowSeq outer_rows_ = RowSeq::Dense(0);
   size_t pos_ = 0;
   size_t limit_ = 0;
   std::vector<RowId> batch_rows_;
@@ -493,7 +280,9 @@ bool CanFuse(ExecContext& ctx, const IROp& op) {
     if (t.is_var) bound[t.var] = true;
   }
   const Relation& rel1 = ctx.db().Get(a1.predicate, a1.source);
-  const int32_t probe_col = PickProbeCol(rel1, a1, bound);
+  const int32_t probe_col = FirstProbeColumn(
+      a1, [&](LocalVar v) { return bound[v]; },
+      [&](size_t col) { return rel1.HasIndex(col); });
   return probe_col >= 0 && a1.terms[probe_col].is_var;
 }
 
@@ -535,9 +324,6 @@ std::vector<std::unique_ptr<RowSource>> BuildPipeline(
       pipeline.push_back(std::make_unique<ScanSource>(
           &ctx.db().Get(atom.predicate, atom.source), &atom, bound,
           profiler));
-      for (const LocalTerm& t : atom.terms) {
-        if (t.is_var) bound[t.var] = true;
-      }
     }
   }
   return pipeline;
@@ -571,8 +357,7 @@ void RunVolcano(std::vector<std::unique_ptr<RowSource>>& pipeline,
 /// single-threaded insertion sequence exactly. Returns false when the
 /// subquery must (or should) run single-threaded.
 bool TryRunPullSharded(ExecContext& ctx, const IROp& op,
-                       const std::vector<std::unique_ptr<RowSource>>&
-                           pipeline) {
+                       std::vector<std::unique_ptr<RowSource>>& pipeline) {
   if (ctx.worker_pool() == nullptr) return false;
   if (op.atoms.empty()) return false;
   const AtomSpec& outer = op.atoms[0];
@@ -588,7 +373,7 @@ bool TryRunPullSharded(ExecContext& ctx, const IROp& op,
   const Relation& derived = ctx.db().Get(op.target, storage::DbKind::kDerived);
   const Relation& delta_new =
       ctx.db().Get(op.target, storage::DbKind::kDeltaNew);
-  return ShardSubqueryAcrossPool(
+  return ShardAcrossPool(
       ctx, op.target, outer_rows, op.head_terms.size(),
       [&](int shard, size_t begin, size_t end,
           storage::StagingBuffer* staging, uint64_t* considered) {

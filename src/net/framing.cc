@@ -14,12 +14,25 @@ void StripComment(std::string* line) {
   }
 }
 
+void LineBuffer::Append(const char* data, size_t n) {
+  if (read_ > 0) {
+    buffer_.erase(0, read_);
+    scan_ -= read_;
+    read_ = 0;
+  }
+  buffer_.append(data, n);
+}
+
 bool LineBuffer::NextLine(std::string* out) {
-  const size_t pos = pending_.find('\n');
-  if (pos == std::string::npos) return false;
-  out->assign(pending_, 0, pos);
+  const size_t pos = buffer_.find('\n', scan_);
+  if (pos == std::string::npos) {
+    scan_ = buffer_.size();
+    return false;
+  }
+  out->assign(buffer_, read_, pos - read_);
   if (!out->empty() && out->back() == '\r') out->pop_back();
-  pending_.erase(0, pos + 1);
+  read_ = pos + 1;
+  scan_ = read_;
   return true;
 }
 

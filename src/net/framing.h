@@ -20,19 +20,23 @@ void StripComment(std::string* line);
 /// dispatcher feeds whatever arrived. NextLine() hands back complete
 /// lines (without the terminator; a trailing '\r' is stripped so naive
 /// CRLF clients work) and leaves any unterminated tail buffered for the
-/// next Append().
+/// next Append(). Linear in the bytes fed: extracted lines advance a read
+/// offset, and the consumed prefix is dropped once per Append().
 class LineBuffer {
  public:
-  void Append(const char* data, size_t n) { pending_.append(data, n); }
+  void Append(const char* data, size_t n);
 
   /// Extracts the next complete line into `out`; false when no full
   /// line is buffered yet.
   bool NextLine(std::string* out);
 
-  size_t pending_bytes() const { return pending_.size(); }
+  /// Buffered bytes not yet returned as lines.
+  size_t pending_bytes() const { return buffer_.size() - read_; }
 
  private:
-  std::string pending_;
+  std::string buffer_;
+  size_t read_ = 0;  // Start of the unconsumed bytes.
+  size_t scan_ = 0;  // No '\n' in [read_, scan_): resume the search here.
 };
 
 /// Where one command's response goes. The executor (ExecuteServeLine)

@@ -5,6 +5,7 @@
 #include <limits>
 #include <set>
 
+#include "ir/access_path.h"
 #include "ir/lowering.h"
 #include "optimizer/selectivity.h"
 
@@ -28,12 +29,10 @@ double EstimateJoin(const StatsSnapshot& stats, const JoinOrderConfig& config,
 /// True if an atom can be probed through an index on a bound column.
 bool HasUsableIndex(const StatsSnapshot& stats, const ir::AtomSpec& atom,
                     const std::set<ir::LocalVar>& bound) {
-  for (size_t col = 0; col < atom.terms.size(); ++col) {
-    const ir::LocalTerm& t = atom.terms[col];
-    const bool is_bound = !t.is_var || bound.count(t.var) > 0;
-    if (is_bound && stats.HasIndex(atom.predicate, col)) return true;
-  }
-  return false;
+  const int32_t probe_col = ir::FirstProbeColumn(
+      atom, [&](ir::LocalVar v) { return bound.count(v) > 0; },
+      [&](size_t col) { return stats.HasIndex(atom.predicate, col); });
+  return probe_col >= 0;
 }
 
 }  // namespace

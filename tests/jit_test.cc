@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "analysis/programs.h"
 #include "core/compile_manager.h"
 #include "core/engine.h"
 #include "core/jit.h"
@@ -202,6 +203,70 @@ TEST(JitTest, DeoptimizeRevertsToInterpretation) {
   engine.jit()->Deoptimize(root_id);
   EXPECT_EQ(engine.jit()->manager().GetReady(root_id), nullptr);
   EXPECT_EQ(engine.ResultSize(path), Closure(10));
+}
+
+/// SPJ/Aggregate nodes under `op`: the most subqueries one compile of
+/// `op` can reorder.
+size_t CountSubqueries(const ir::IROp& op) {
+  size_t n = op.kind == ir::OpKind::kSpj || op.kind == ir::OpKind::kAggregate;
+  for (const auto& child : op.children) n += CountSubqueries(*child);
+  return n;
+}
+
+TEST(JitTest, ReordersCountedUnderEveryBackend) {
+  // Unoptimized CSPA is the case the runtime reordering exists for: every
+  // backend's compile path must apply it and report it.
+  for (backends::BackendKind backend :
+       {backends::BackendKind::kLambda, backends::BackendKind::kBytecode,
+        backends::BackendKind::kIRGenerator}) {
+    analysis::CspaConfig cspa;
+    cspa.total_tuples = 150;
+    analysis::Workload w =
+        analysis::MakeCspa(cspa, analysis::RuleOrder::kUnoptimized);
+    Engine engine(w.program.get(), JitConfigFor(backend, Granularity::kUnion));
+    ASSERT_TRUE(engine.Prepare().ok());
+    ASSERT_TRUE(engine.Run().ok());
+    EXPECT_GT(engine.stats().reorders, 0u)
+        << backends::BackendKindName(backend);
+  }
+}
+
+TEST(JitTest, RerunningAFreshUnitDoesNotRecountReorders) {
+  analysis::CspaConfig cspa;
+  cspa.total_tuples = 150;
+  analysis::Workload w =
+      analysis::MakeCspa(cspa, analysis::RuleOrder::kUnoptimized);
+  EngineConfig config =
+      JitConfigFor(backends::BackendKind::kIRGenerator, Granularity::kUnion);
+  config.jit.freshness_threshold = 1.0;  // Each node compiles once.
+  Engine engine(w.program.get(), config);
+  ASSERT_TRUE(engine.Prepare().ok());
+  ASSERT_TRUE(engine.Run().ok());
+  // Units re-ran across iterations, but each subquery was reordered by
+  // at most one compile.
+  EXPECT_GT(engine.stats().freshness_skips, 0u);
+  EXPECT_GT(engine.stats().reorders, 0u);
+  EXPECT_LE(engine.stats().reorders, CountSubqueries(*engine.ir().root));
+}
+
+TEST(CompileManagerTest, ReordersTakenOncePerCompletedCompile) {
+  auto backend = backends::MakeBackend(backends::BackendKind::kIRGenerator);
+  CompileManager manager(backend.get());
+  analysis::CspaConfig cspa;
+  cspa.total_tuples = 150;
+  analysis::Workload w =
+      analysis::MakeCspa(cspa, analysis::RuleOrder::kUnoptimized);
+  ir::IRProgram irp;
+  ASSERT_TRUE(ir::LowerProgram(w.program.get(), true, &irp).ok());
+
+  backends::CompileRequest request;
+  request.subtree = irp.root->Clone();
+  request.stats = optimizer::StatsSnapshot::Capture(w.program->db());
+  ASSERT_TRUE(manager.CompileSync(1, std::move(request)).ok());
+  const int unit_reorders = manager.GetReady(1)->reorders();
+  EXPECT_GT(unit_reorders, 0);
+  EXPECT_EQ(manager.TakeReorders(), static_cast<uint64_t>(unit_reorders));
+  EXPECT_EQ(manager.TakeReorders(), 0u);
 }
 
 TEST(JitTest, GranularityNames) {

@@ -541,5 +541,71 @@ TEST(ServerTest, StreamingDumpMatchesTcGolden) {
   EXPECT_EQ(live.text(), golden.str());
 }
 
+// ---- net::LineBuffer: request reassembly from arbitrary read chunks ----
+
+std::vector<std::string> DrainLines(net::LineBuffer* buffer) {
+  std::vector<std::string> lines;
+  std::string line;
+  while (buffer->NextLine(&line)) lines.push_back(line);
+  return lines;
+}
+
+void Feed(net::LineBuffer* buffer, const std::string& chunk) {
+  buffer->Append(chunk.data(), chunk.size());
+}
+
+TEST(LineBufferTest, ManyLinesInOneChunk) {
+  net::LineBuffer buffer;
+  std::string chunk;
+  std::vector<std::string> expected;
+  for (int i = 0; i < 5000; ++i) {
+    expected.push_back("count Path" + std::to_string(i));
+    chunk += expected.back() + "\n";
+  }
+  Feed(&buffer, chunk);
+  EXPECT_EQ(DrainLines(&buffer), expected);
+  EXPECT_EQ(buffer.pending_bytes(), 0u);
+}
+
+TEST(LineBufferTest, LineSplitAcrossAppends) {
+  net::LineBuffer buffer;
+  Feed(&buffer, "dump Pa");
+  EXPECT_TRUE(DrainLines(&buffer).empty());
+  Feed(&buffer, "th\ncou");
+  EXPECT_EQ(DrainLines(&buffer), std::vector<std::string>{"dump Path"});
+  Feed(&buffer, "nt Ed");
+  EXPECT_TRUE(DrainLines(&buffer).empty());
+  Feed(&buffer, "ge\n");
+  EXPECT_EQ(DrainLines(&buffer), std::vector<std::string>{"count Edge"});
+}
+
+TEST(LineBufferTest, StripsCarriageReturnOfCrlf) {
+  net::LineBuffer buffer;
+  Feed(&buffer, "stats\r\nupdate\r");
+  EXPECT_EQ(DrainLines(&buffer), std::vector<std::string>{"stats"});
+  Feed(&buffer, "\n");
+  EXPECT_EQ(DrainLines(&buffer), std::vector<std::string>{"update"});
+}
+
+TEST(LineBufferTest, EmptyLinesSurvive) {
+  net::LineBuffer buffer;
+  Feed(&buffer, "\n\nstats\n\r\n");
+  EXPECT_EQ(DrainLines(&buffer),
+            (std::vector<std::string>{"", "", "stats", ""}));
+}
+
+TEST(LineBufferTest, PendingBytesCountsOnlyThePartialLine) {
+  net::LineBuffer buffer;
+  Feed(&buffer, "count Path\ndump");
+  EXPECT_EQ(buffer.pending_bytes(), 15u);
+  EXPECT_EQ(DrainLines(&buffer), std::vector<std::string>{"count Path"});
+  EXPECT_EQ(buffer.pending_bytes(), 4u);
+  Feed(&buffer, " Ed");
+  EXPECT_EQ(buffer.pending_bytes(), 7u);
+  Feed(&buffer, "ge\n");
+  EXPECT_EQ(DrainLines(&buffer), std::vector<std::string>{"dump Edge"});
+  EXPECT_EQ(buffer.pending_bytes(), 0u);
+}
+
 }  // namespace
 }  // namespace carac
