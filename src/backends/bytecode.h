@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "datalog/ast.h"
+#include "ir/access_path.h"
 #include "ir/exec_context.h"
 #include "ir/interpreter.h"
 #include "ir/irop.h"
@@ -72,6 +73,250 @@ struct BytecodeProgram {
   int32_t num_iters = 0;
 
   std::string Disassemble() const;
+};
+
+/// The storage half of executing a BytecodeProgram, shared by both
+/// targets that run one: RunBytecode's switch calls it inline, and the
+/// quotes backend's generated C++ calls it back through the C ABI of
+/// quotes_codegen.h. Every instruction that touches storage or the
+/// interpreter goes through here — the four opens (with the per-slot
+/// probe memo and profiler counters), kNext, kNotContains, kEmit,
+/// kSwapClear, kJumpIfDelta, kIterBump and kCallNode — so both targets
+/// probe, memoize, count and mutate identically. Methods take their
+/// operands decoded: static fields as the compiler emitted them, register
+/// operands already read.
+class BytecodeRuntime {
+ public:
+  /// One iterator slot: either a whole-relation arena scan (dense RowId
+  /// cursor) or an index-probe result (RowId cursor). `current` points
+  /// at the row-major values of the current row inside the relation's
+  /// arena.
+  struct Iter {
+    const storage::Relation* rel = nullptr;
+    bool probe = false;
+    storage::RowCursor bucket;
+    size_t bucket_pos = 0;
+    storage::RowId row = 0;
+    const storage::Value* current = nullptr;
+    // Probe memo: an inner iterator slot typically re-opens with the same
+    // (relation, column, key) once per outer row — always for const keys,
+    // and for runs of equal outer join keys otherwise. The cursor from
+    // the previous open is reused when the runtime's mutation generation
+    // hasn't moved (kSwapClear / kCallNode bump it; in between, the
+    // probed Derived/DeltaKnown stores are frozen, so the cursor stays
+    // valid).
+    const storage::Relation* memo_rel = nullptr;
+    size_t memo_col = 0;
+    storage::Value memo_key = 0;
+    uint64_t memo_gen = 0;
+    bool memo_valid = false;
+    // Range-probe extension of the memo: keyed on the CLOSED [lo, hi]
+    // (strictness folds into the bounds, so two spellings of the same
+    // interval share a memo entry). A declined probe is memoized too —
+    // re-deciding against the same index state would reach the same
+    // verdict, so the scan fallback is replayed without re-probing.
+    std::vector<storage::RowId> range_rows;
+    storage::Value memo_lo = 0;
+    storage::Value memo_hi = 0;
+    bool memo_is_range = false;
+    bool memo_declined = false;
+    // Counter slot for the memoized (relation, column); re-resolved only
+    // when the slot's target changes, so a memo hit costs nothing and a
+    // memo miss pays one pointer increment on top of the probe itself.
+    ir::ColumnProbeStats* probe_stats = nullptr;
+
+    void OpenScan(const storage::Relation* relation) {
+      rel = relation;
+      probe = false;
+      row = 0;
+      current = nullptr;
+    }
+
+    void OpenProbe(const storage::Relation* relation, size_t col,
+                   storage::Value value, uint64_t gen, bool memoizable,
+                   datalog::PredicateId pred, ir::AccessProfiler* profiler) {
+      if (!relation->HasIndex(col)) {
+        // No index (unindexed configuration): degrade to a scan; the
+        // CHECK instructions emitted alongside the probe still filter
+        // correctly because the compiler always re-checks the probed
+        // column.
+        OpenScan(relation);
+        return;
+      }
+      rel = relation;
+      probe = true;
+      if (!(memo_valid && !memo_is_range && memo_rel == relation &&
+            memo_col == col && memo_key == value && memo_gen == gen)) {
+        if (probe_stats == nullptr || memo_rel != relation ||
+            memo_col != col) {
+          probe_stats = ir::ProbeStatsSlot(profiler, pred, col);
+        }
+        bucket = ir::ProbePoint(*relation, col, value, probe_stats);
+        memo_rel = relation;
+        memo_col = col;
+        memo_key = value;
+        memo_gen = gen;
+        memo_is_range = false;
+        memo_valid = memoizable;
+      }
+      bucket_pos = 0;
+      current = nullptr;
+    }
+
+    void OpenRange(const storage::Relation* relation, size_t col,
+                   storage::Value lo, bool lo_strict, storage::Value hi,
+                   bool hi_strict, uint64_t gen, bool memoizable,
+                   datalog::PredicateId pred, ir::AccessProfiler* profiler) {
+      if (!relation->HasIndex(col)) {
+        // Unindexed configuration: degrade to a scan. The kCompare
+        // residuals the compiler always emits behind the loop keep it
+        // correct.
+        OpenScan(relation);
+        return;
+      }
+      ir::ResolvedRange range;
+      range.empty = !ir::CloseInterval(lo, lo_strict, hi, hi_strict,
+                                       &range.lo, &range.hi);
+      if (range.empty) {
+        // Canonical empty key so every contradictory interval memo-hits.
+        range.lo = 1;
+        range.hi = 0;
+      }
+      if (memo_valid && memo_is_range && memo_rel == relation &&
+          memo_col == col && memo_lo == range.lo && memo_hi == range.hi &&
+          memo_gen == gen) {
+        if (memo_declined) {
+          OpenScan(relation);
+          return;
+        }
+        rel = relation;
+        probe = true;
+        bucket = storage::RowCursor(range_rows.data(), range_rows.size());
+        bucket_pos = 0;
+        current = nullptr;
+        return;
+      }
+      if (probe_stats == nullptr || memo_rel != relation || memo_col != col) {
+        probe_stats = ir::ProbeStatsSlot(profiler, pred, col);
+      }
+      const bool taken =
+          ir::ProbeRange(*relation, col, range, probe_stats, &range_rows);
+      memo_rel = relation;
+      memo_col = col;
+      memo_lo = range.lo;
+      memo_hi = range.hi;
+      memo_gen = gen;
+      memo_is_range = true;
+      memo_declined = !taken;
+      memo_valid = memoizable;
+      if (!taken) {
+        OpenScan(relation);
+        return;
+      }
+      rel = relation;
+      probe = true;
+      bucket = storage::RowCursor(range_rows.data(), range_rows.size());
+      bucket_pos = 0;
+      current = nullptr;
+    }
+
+    bool Next() {
+      if (probe) {
+        if (bucket_pos >= bucket.size()) return false;
+        current = rel->RowData(bucket[bucket_pos++]);
+        return true;
+      }
+      if (row >= rel->NumRows()) return false;
+      current = rel->RowData(row++);
+      return true;
+    }
+  };
+
+  BytecodeRuntime(const BytecodeProgram& program, ir::ExecContext& ctx,
+                  ir::Interpreter& interp)
+      : program_(program),
+        ctx_(ctx),
+        interp_(interp),
+        db_(ctx.db()),
+        iters_(program.num_iters) {}
+
+  /// The iterator slots; their addresses are fixed for the runtime's
+  /// lifetime, so a caller may hold the pointer across instructions.
+  Iter* iters() { return iters_.data(); }
+
+  // The opens of slot `iter` over relation (pred, db): kScanOpen,
+  // kProbeOpenConst / kProbeOpenReg (`key` on `col`) and kRangeOpen
+  // ([lo, hi] on `col`; `strict` bit 0 / 1: lo / hi strict).
+  void ScanOpen(size_t iter, datalog::PredicateId pred, storage::DbKind db) {
+    iters_[iter].OpenScan(&db_.Get(pred, db));
+  }
+  void ProbeOpen(size_t iter, datalog::PredicateId pred, storage::DbKind db,
+                 size_t col, storage::Value key) {
+    iters_[iter].OpenProbe(&db_.Get(pred, db), col, key, probe_gen_,
+                           Memoizable(db), pred, &ctx_.profiler());
+  }
+  void RangeOpen(size_t iter, datalog::PredicateId pred, storage::DbKind db,
+                 size_t col, storage::Value lo, storage::Value hi,
+                 uint32_t strict) {
+    iters_[iter].OpenRange(&db_.Get(pred, db), col, lo, (strict & 1) != 0,
+                           hi, (strict & 2) != 0, probe_gen_, Memoizable(db),
+                           pred, &ctx_.profiler());
+  }
+
+  /// kNext: advances slot `iter`; its new current row, null when
+  /// exhausted.
+  const storage::Value* Next(size_t iter) {
+    Iter& it = iters_[iter];
+    return it.Next() ? it.current : nullptr;
+  }
+
+  /// kNotContains' test.
+  bool Contains(datalog::PredicateId pred, storage::DbKind db,
+                storage::TupleView row) {
+    return db_.Get(pred, db).Contains(row);
+  }
+
+  /// kEmit: inserts `row` into pred's DeltaNew unless Derived already
+  /// holds it.
+  void Emit(datalog::PredicateId pred, storage::TupleView row) {
+    ctx_.stats().tuples_considered++;
+    if (!db_.Get(pred, storage::DbKind::kDerived).Contains(row)) {
+      if (db_.Get(pred, storage::DbKind::kDeltaNew).Insert(row)) {
+        ctx_.stats().tuples_inserted++;
+      }
+    }
+  }
+
+  /// kSwapClear and kJumpIfDelta's test on relation set `set`.
+  void SwapClear(size_t set) {
+    db_.SwapClearMerge(program_.relation_sets[set]);
+    ++probe_gen_;
+  }
+  bool AnyDelta(size_t set) {
+    return db_.AnyDeltaKnownNonEmpty(program_.relation_sets[set]);
+  }
+
+  void IterBump() { ctx_.stats().iterations++; }
+
+  void CallNode(size_t node) {
+    interp_.Execute(*const_cast<ir::IROp*>(program_.call_nodes[node]));
+    ++probe_gen_;
+  }
+
+ private:
+  // Emits only touch DeltaNew, so only probes of the other stores memoize.
+  static bool Memoizable(storage::DbKind db) {
+    return db != storage::DbKind::kDeltaNew;
+  }
+
+  const BytecodeProgram& program_;
+  ir::ExecContext& ctx_;
+  ir::Interpreter& interp_;
+  storage::DatabaseSet& db_;
+  std::vector<Iter> iters_;
+  // Mutation generation for the per-slot probe memos: the stores probes
+  // read change only at kSwapClear and kCallNode, so those bump it.
+  uint64_t probe_gen_ = 0;
 };
 
 /// Executes a bytecode program against the live databases.

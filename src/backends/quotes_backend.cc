@@ -5,20 +5,18 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
 
-#include "util/hash.h"
+#include "backends/bytecode_backend.h"
 #include "util/status.h"
 
 namespace carac::backends {
 
 namespace {
-
-using storage::Relation;
-using storage::Value;
 
 std::string QuotesScratchDir() {
   if (const char* dir = std::getenv("CARAC_QUOTES_DIR")) return dir;
@@ -28,14 +26,6 @@ std::string QuotesScratchDir() {
 std::string CompilerBinary() {
   if (const char* cxx = std::getenv("CARAC_CXX")) return cxx;
   return "c++";
-}
-
-uint64_t HashSource(const std::string& source) {
-  uint64_t h = 0x9d5f01u;
-  for (char c : source) {
-    h = util::HashCombine(h, static_cast<uint64_t>(static_cast<uint8_t>(c)));
-  }
-  return h;
 }
 
 /// Process-wide cache of compiled shared objects keyed by source hash.
@@ -51,137 +41,61 @@ SourceCache& Cache() {
   return *cache;
 }
 
-// ---- Runtime bridge: the rt pointer the generated code calls back on. ----
+// ---- The C-ABI thunks: each runs one method of the shared runtime. ----
 
-struct IterState {
-  const Relation* rel = nullptr;
-  bool probe = false;
-  storage::RowCursor bucket;
-  size_t bucket_pos = 0;
-  storage::RowId row = 0;
+BytecodeRuntime& Runtime(void* rt) {
+  return *static_cast<BytecodeRuntime*>(rt);
+}
+
+constexpr CaracQuotesApi kThunks = {
+    .rt = nullptr,
+    .scan_open =
+        [](void* rt, uint32_t iter, uint32_t pred, uint32_t db) {
+          Runtime(rt).ScanOpen(iter, pred, static_cast<storage::DbKind>(db));
+        },
+    .probe_open =
+        [](void* rt, uint32_t iter, uint32_t pred, uint32_t db, uint32_t col,
+           int64_t key) {
+          Runtime(rt).ProbeOpen(iter, pred, static_cast<storage::DbKind>(db),
+                                col, key);
+        },
+    .range_open =
+        [](void* rt, uint32_t iter, uint32_t pred, uint32_t db, uint32_t col,
+           uint32_t strict, int64_t lo, int64_t hi) {
+          Runtime(rt).RangeOpen(iter, pred, static_cast<storage::DbKind>(db),
+                                col, lo, hi, strict);
+        },
+    .next = [](void* rt, uint32_t iter) { return Runtime(rt).Next(iter); },
+    .contains =
+        [](void* rt, uint32_t pred, uint32_t db, const int64_t* row,
+           uint32_t n) -> int {
+          return Runtime(rt).Contains(pred, static_cast<storage::DbKind>(db),
+                                      storage::TupleView(row, n));
+        },
+    .emit =
+        [](void* rt, uint32_t pred, const int64_t* row, uint32_t n) {
+          Runtime(rt).Emit(pred, storage::TupleView(row, n));
+        },
+    .swap_clear = [](void* rt, uint32_t set) { Runtime(rt).SwapClear(set); },
+    .any_delta = [](void* rt, uint32_t set) -> int {
+      return Runtime(rt).AnyDelta(set);
+    },
+    .iter_bump = [](void* rt) { Runtime(rt).IterBump(); },
+    .call_node = [](void* rt, uint32_t node) { Runtime(rt).CallNode(node); },
 };
-
-struct RtBridge {
-  ir::ExecContext* ctx;
-  ir::Interpreter* interp;
-  const QuotesPools* pools;
-  std::vector<IterState> iters;
-};
-
-uint32_t RtScanOpen(void* rt, uint32_t pred, uint32_t db) {
-  auto* bridge = static_cast<RtBridge*>(rt);
-  const Relation& rel = bridge->ctx->db().Get(
-      static_cast<datalog::PredicateId>(pred),
-      static_cast<storage::DbKind>(db));
-  IterState state;
-  state.rel = &rel;
-  state.probe = false;
-  state.row = 0;
-  bridge->iters.push_back(state);
-  return static_cast<uint32_t>(bridge->iters.size() - 1);
-}
-
-uint32_t RtProbeOpen(void* rt, uint32_t pred, uint32_t db, uint32_t col,
-                     int64_t value) {
-  auto* bridge = static_cast<RtBridge*>(rt);
-  const Relation& rel = bridge->ctx->db().Get(
-      static_cast<datalog::PredicateId>(pred),
-      static_cast<storage::DbKind>(db));
-  if (!rel.HasIndex(col)) return RtScanOpen(rt, pred, db);
-  IterState state;
-  state.rel = &rel;
-  state.probe = true;
-  state.bucket = rel.Probe(col, value);
-  state.bucket_pos = 0;
-  bridge->iters.push_back(std::move(state));
-  return static_cast<uint32_t>(bridge->iters.size() - 1);
-}
-
-const int64_t* RtIterNext(void* rt, uint32_t iter) {
-  auto* bridge = static_cast<RtBridge*>(rt);
-  IterState& state = bridge->iters[iter];
-  if (state.probe) {
-    if (state.bucket_pos >= state.bucket.size()) return nullptr;
-    return state.rel->RowData(state.bucket[state.bucket_pos++]);
-  }
-  if (state.row >= state.rel->NumRows()) return nullptr;
-  return state.rel->RowData(state.row++);
-}
-
-void RtIterClose(void* rt, uint32_t iter) {
-  auto* bridge = static_cast<RtBridge*>(rt);
-  // Generated loops nest strictly (LIFO).
-  CARAC_CHECK(iter + 1 == bridge->iters.size());
-  bridge->iters.pop_back();
-}
-
-int RtContains(void* rt, uint32_t pred, uint32_t db, const int64_t* row,
-               uint32_t n) {
-  auto* bridge = static_cast<RtBridge*>(rt);
-  return bridge->ctx->db()
-      .Get(static_cast<datalog::PredicateId>(pred),
-           static_cast<storage::DbKind>(db))
-      .Contains(storage::TupleView(row, n));
-}
-
-void RtInsert(void* rt, uint32_t pred, const int64_t* row, uint32_t n) {
-  auto* bridge = static_cast<RtBridge*>(rt);
-  const storage::TupleView tuple(row, n);
-  auto& db = bridge->ctx->db();
-  bridge->ctx->stats().tuples_considered++;
-  const auto id = static_cast<datalog::PredicateId>(pred);
-  if (db.Get(id, storage::DbKind::kDerived).Contains(tuple)) return;
-  if (db.Get(id, storage::DbKind::kDeltaNew).Insert(tuple)) {
-    bridge->ctx->stats().tuples_inserted++;
-  }
-}
-
-void RtSwapClear(void* rt, uint32_t set_id) {
-  auto* bridge = static_cast<RtBridge*>(rt);
-  bridge->ctx->db().SwapClearMerge(bridge->pools->relation_sets[set_id]);
-}
-
-int RtAnyDelta(void* rt, uint32_t set_id) {
-  auto* bridge = static_cast<RtBridge*>(rt);
-  return bridge->ctx->db().AnyDeltaKnownNonEmpty(
-      bridge->pools->relation_sets[set_id]);
-}
-
-void RtIterBump(void* rt) {
-  static_cast<RtBridge*>(rt)->ctx->stats().iterations++;
-}
-
-void RtCallNode(void* rt, uint32_t node_index) {
-  auto* bridge = static_cast<RtBridge*>(rt);
-  bridge->interp->Execute(
-      *const_cast<ir::IROp*>(bridge->pools->call_nodes[node_index]));
-}
 
 class QuotesUnit : public CompiledUnit {
  public:
-  QuotesUnit(std::unique_ptr<ir::IROp> tree, QuotesPools pools,
+  QuotesUnit(std::unique_ptr<ir::IROp> tree, BytecodeProgram program,
              QuotesEntryFn entry, size_t source_bytes)
-      : tree_(std::move(tree)), pools_(std::move(pools)), entry_(entry),
+      : tree_(std::move(tree)), program_(std::move(program)), entry_(entry),
         source_bytes_(source_bytes) {}
 
   void Run(ir::ExecContext& ctx, ir::Interpreter& interp,
            ir::IROp& /*original*/) override {
-    RtBridge bridge;
-    bridge.ctx = &ctx;
-    bridge.interp = &interp;
-    bridge.pools = &pools_;
-    CaracQuotesApi api;
-    api.rt = &bridge;
-    api.scan_open = &RtScanOpen;
-    api.probe_open = &RtProbeOpen;
-    api.iter_next = &RtIterNext;
-    api.iter_close = &RtIterClose;
-    api.contains = &RtContains;
-    api.insert = &RtInsert;
-    api.swap_clear = &RtSwapClear;
-    api.any_delta = &RtAnyDelta;
-    api.iter_bump = &RtIterBump;
-    api.call_node = &RtCallNode;
+    BytecodeRuntime runtime(program_, ctx, interp);
+    CaracQuotesApi api = kThunks;
+    api.rt = &runtime;
     entry_(&api);
   }
 
@@ -190,8 +104,8 @@ class QuotesUnit : public CompiledUnit {
   }
 
  private:
-  std::unique_ptr<ir::IROp> tree_;  // Owns nodes referenced by pools_.
-  QuotesPools pools_;
+  std::unique_ptr<ir::IROp> tree_;  // Owns the nodes call_nodes points into.
+  BytecodeProgram program_;
   QuotesEntryFn entry_;
   size_t source_bytes_;
 };
@@ -223,10 +137,10 @@ void ClearQuotesCache() {
 
 util::Status QuotesBackend::CompileOrdered(
     CompileRequest request, std::unique_ptr<CompiledUnit>* out) {
-  QuotesPools pools;
-  const std::string source = GenerateQuotesSource(
-      *request.subtree, request.stats, request.mode, &pools);
-  const uint64_t hash = HashSource(source);
+  BytecodeProgram program =
+      CompileToBytecode(*request.subtree, request.stats, request.mode);
+  const std::string source = GenerateQuotesSource(program);
+  const uint64_t hash = std::hash<std::string>{}(source);
 
   QuotesEntryFn entry = nullptr;
   {
@@ -266,7 +180,8 @@ util::Status QuotesBackend::CompileOrdered(
   }
 
   *out = std::make_unique<QuotesUnit>(std::move(request.subtree),
-                                      std::move(pools), entry, source.size());
+                                      std::move(program), entry,
+                                      source.size());
   return util::Status::Ok();
 }
 

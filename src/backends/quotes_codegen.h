@@ -3,52 +3,57 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "backends/backend.h"
-#include "ir/irop.h"
-#include "optimizer/statistics.h"
+#include "backends/bytecode.h"
 
 namespace carac::backends {
 
-/// The C ABI between generated code and the engine. The generated source
-/// re-declares this struct textually (it is self-contained — no include
-/// paths), so the layout here and in quotes_codegen.cc must stay in sync;
-/// a static_assert-based golden test guards the field order.
-struct CaracQuotesApi {
+/// Declares the struct given as its argument and defines
+/// kQuotesApiSource as that declaration's text, so the engine's struct
+/// and the one the generated source re-declares are a single definition.
+/// The generated translation unit has no includes; its prelude typedefs
+/// the fixed-width names the declaration uses.
+#define CARAC_QUOTES_ABI(...) \
+  __VA_ARGS__;                \
+  inline constexpr char kQuotesApiSource[] = #__VA_ARGS__ ";"
+
+/// The C ABI between generated code and the engine: one callback per
+/// storage instruction of the BytecodeProgram the source was printed
+/// from, taking the instruction's static operands as literals (iterator
+/// slot, predicate, DbKind, column, relation-set or call-node index) and
+/// its register operands as values. Each runs the BytecodeRuntime method
+/// RunBytecode's switch runs. `next` returns the slot's new current row
+/// (null when exhausted); `contains` / `emit` take the tuple as a row of
+/// `n` values (null when n is 0).
+CARAC_QUOTES_ABI(struct CaracQuotesApi {
   void* rt;
-  uint32_t (*scan_open)(void* rt, uint32_t pred, uint32_t db);
-  uint32_t (*probe_open)(void* rt, uint32_t pred, uint32_t db, uint32_t col,
-                         int64_t value);
-  const int64_t* (*iter_next)(void* rt, uint32_t iter);
-  void (*iter_close)(void* rt, uint32_t iter);
+  void (*scan_open)(void* rt, uint32_t iter, uint32_t pred, uint32_t db);
+  void (*probe_open)(void* rt, uint32_t iter, uint32_t pred, uint32_t db,
+                     uint32_t col, int64_t key);
+  void (*range_open)(void* rt, uint32_t iter, uint32_t pred, uint32_t db,
+                     uint32_t col, uint32_t strict, int64_t lo, int64_t hi);
+  const int64_t* (*next)(void* rt, uint32_t iter);
   int (*contains)(void* rt, uint32_t pred, uint32_t db, const int64_t* row,
                   uint32_t n);
-  void (*insert)(void* rt, uint32_t pred, const int64_t* row, uint32_t n);
-  void (*swap_clear)(void* rt, uint32_t set_id);
-  int (*any_delta)(void* rt, uint32_t set_id);
+  void (*emit)(void* rt, uint32_t pred, const int64_t* row, uint32_t n);
+  void (*swap_clear)(void* rt, uint32_t set);
+  int (*any_delta)(void* rt, uint32_t set);
   void (*iter_bump)(void* rt);
-  void (*call_node)(void* rt, uint32_t node_index);
-};
+  void (*call_node)(void* rt, uint32_t node);
+});
+#undef CARAC_QUOTES_ABI
 
 /// Entry point symbol exported by every generated shared object.
 using QuotesEntryFn = void (*)(const CaracQuotesApi* api);
 inline constexpr char kQuotesEntrySymbol[] = "carac_entry";
 
-/// Pools referenced by the generated code via small integer ids.
-struct QuotesPools {
-  std::vector<std::vector<datalog::PredicateId>> relation_sets;
-  std::vector<const ir::IROp*> call_nodes;
-};
-
-/// Generates a self-contained C++ translation unit implementing the
-/// (already reordered) subtree `op`: real nested loops with constants
-/// inlined and access paths chosen statically from `stats`. Snippet mode
-/// generates only the node's own control flow and splices
-/// `api->call_node(...)` continuations for the children (§V-B3).
-std::string GenerateQuotesSource(const ir::IROp& op,
-                                 const optimizer::StatsSnapshot& stats,
-                                 CompileMode mode, QuotesPools* pools);
+/// Prints `program` as one self-contained C++ function: one labelled
+/// statement per instruction, jumps as gotos, register / check / bind /
+/// compare / arithmetic instructions inlined on locals with kLoadImm
+/// constants as literals, and every storage instruction a call through
+/// CaracQuotesApi. Snippet vs full compilation is already decided in the
+/// program (kCallNode for interpreter continuations, §V-B3).
+std::string GenerateQuotesSource(const BytecodeProgram& program);
 
 }  // namespace carac::backends
 

@@ -15,6 +15,12 @@ namespace carac::net {
 /// implementation both the stdin serve loop and the socket server use.
 void StripComment(std::string* line);
 
+/// Longest request line the socket server accepts, terminator excluded.
+/// A session whose line grows past it gets `err request line exceeds
+/// <N> bytes` and is closed, so a client that never sends '\n' cannot
+/// grow server memory without bound.
+inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
+
 /// Reassembles the line-per-request protocol from arbitrary read chunks:
 /// a socket read may deliver half a line or twelve of them, and the
 /// dispatcher feeds whatever arrived. NextLine() hands back complete

@@ -18,6 +18,9 @@ struct ServerRequest {
   enum class Kind : uint8_t {
     /// One protocol line to execute and respond to.
     kLine,
+    /// The session's request line exceeded kMaxRequestLineBytes: answer
+    /// err and execute nothing more. A kCloseSession always follows.
+    kOverlongLine,
     /// The dispatcher stopped polling this session (client EOF or
     /// server shutdown): after everything queued before this marker,
     /// the worker closes the fd and frees the session.

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <string>
 #include <utility>
 
 #include "net/framing.h"
@@ -163,15 +164,30 @@ void Server::DispatcherLoop() {
       ++fd_index;
     }
 
+    // Admits `session`'s complete buffered lines to its worker's batch;
+    // false once a line, complete or not, exceeds kMaxRequestLineBytes.
+    auto admit_lines = [&](Session* session) {
+      std::string line;
+      while (session->input.NextLine(&line)) {
+        if (line.size() > kMaxRequestLineBytes) return false;
+        batches[session->worker].push_back(
+            {session, std::move(line), ServerRequest::Kind::kLine});
+      }
+      return session->input.pending_bytes() <= kMaxRequestLineBytes;
+    };
+
     // Drain readable sessions, reassemble lines, admit them to the
-    // owning worker's queue. A session that hit EOF (or whose worker
-    // executed quit and shut the socket down) leaves the poll set now
-    // and gets its close marker — ordered after its admitted lines.
+    // owning worker's queue. Lines are admitted after every read, so the
+    // buffer holds at most one partial line even while a fast sender
+    // keeps the socket readable. A session that hit EOF (or whose worker
+    // executed quit and shut the socket down) or sent an overlong line
+    // leaves the poll set now and gets its close marker — ordered after
+    // its admitted lines.
     std::vector<Session*> still_open;
     still_open.reserve(sessions.size());
     for (size_t i = 0; i < sessions.size(); ++i) {
       Session* session = sessions[i];
-      bool eof = false;
+      bool retire = false;
       const bool readable =
           i < polled_sessions && fds[session_base + i].revents != 0;
       if (readable) {
@@ -180,20 +196,19 @@ void Server::DispatcherLoop() {
           const ssize_t n = ::read(session->fd, buffer, sizeof buffer);
           if (n > 0) {
             session->input.Append(buffer, static_cast<size_t>(n));
-            continue;
+            if (admit_lines(session)) continue;
+            batches[session->worker].push_back(
+                {session, std::string(), ServerRequest::Kind::kOverlongLine});
+            retire = true;
+            break;
           }
           if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
           if (n < 0 && errno == EINTR) continue;
-          eof = true;  // Clean EOF or a hard error: either way, done.
+          retire = true;  // Clean EOF or a hard error: either way, done.
           break;
         }
-        std::string line;
-        while (session->input.NextLine(&line)) {
-          batches[session->worker].push_back(
-              {session, std::move(line), ServerRequest::Kind::kLine});
-        }
       }
-      if (eof || closing) {
+      if (retire || closing) {
         batches[session->worker].push_back(
             {session, std::string(), ServerRequest::Kind::kCloseSession});
       } else {
@@ -245,6 +260,14 @@ void Server::WorkerLoop(size_t worker_index) {
         continue;
       }
       if (session->quitting) continue;
+      if (request.kind == ServerRequest::Kind::kOverlongLine) {
+        WireResponse response;
+        response.Error("request line exceeds " +
+                       std::to_string(kMaxRequestLineBytes) + " bytes");
+        WriteAll(session->fd, std::move(response).Finish());
+        session->quitting = true;
+        continue;
+      }
       WireResponse response;
       const ServeOutcome outcome =
           ExecuteServeLine(ctx_, std::move(request.line), &response);

@@ -132,6 +132,20 @@ class Client {
     }
   }
 
+  /// Sends raw bytes (no terminator added); false once the server has
+  /// closed the connection.
+  bool SendRaw(const std::string& bytes) {
+    size_t offset = 0;
+    while (offset < bytes.size()) {
+      const ssize_t n = ::send(fd_, bytes.data() + offset,
+                               bytes.size() - offset, MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return false;
+      offset += static_cast<size_t>(n);
+    }
+    return true;
+  }
+
   /// Reads one complete response — payload lines up to and including the
   /// "ok" / "err ..." terminator — and returns the raw wire bytes. A
   /// server that stops responding trips the receive timeout rather than
@@ -157,6 +171,17 @@ class Client {
       const ssize_t n = ::recv(fd_, &byte, 1, 0);
       if (n < 0 && errno == EINTR) continue;
       return n == 0;
+    }
+  }
+
+  /// True when the peer has closed the connection, cleanly or — when it
+  /// closed with bytes of ours still unread — by reset.
+  bool ReadClosed() {
+    char byte;
+    for (;;) {
+      const ssize_t n = ::recv(fd_, &byte, 1, 0);
+      if (n < 0 && errno == EINTR) continue;
+      return n == 0 || (n < 0 && errno == ECONNRESET);
     }
   }
 
@@ -486,6 +511,31 @@ TEST(ServerTest, AbruptDisconnectDoesNotWedgeOtherSessions) {
   EXPECT_EQ(polite.ReadResponse(), "ok\n");
   EXPECT_TRUE(polite.ReadEof());
   ts.Stop();
+}
+
+TEST(ServerTest, OverlongLineIsRejectedAndOnlyItsSessionCloses) {
+  TestServer ts;
+  ts.Start(PartitionedProgram(), /*num_workers=*/1);  // One shared worker.
+  Client hog = Client::ConnectUnix(ts.unix_path);
+  Client neighbour = Client::ConnectUnix(ts.unix_path);
+  // A valid request, then twice the cap with no terminator: the server
+  // must answer the first, reject the second once it passes the cap
+  // (without reading the rest), and close.
+  hog.SendRaw("count Path0\n" +
+              std::string(2 * net::kMaxRequestLineBytes, 'a'));
+  EXPECT_EQ(hog.ReadResponse(), "| Path0: 0 rows\nok\n");
+  EXPECT_EQ(hog.ReadResponse(), "err request line exceeds " +
+                                    std::to_string(net::kMaxRequestLineBytes) +
+                                    " bytes\n");
+  EXPECT_TRUE(hog.ReadClosed());
+
+  neighbour.Send("count Path1");
+  EXPECT_EQ(neighbour.ReadResponse(), "| Path1: 0 rows\nok\n");
+  neighbour.Send("quit");
+  EXPECT_EQ(neighbour.ReadResponse(), "ok\n");
+  EXPECT_TRUE(neighbour.ReadEof());
+  ts.Stop();
+  EXPECT_FALSE(ts.server->fatal_error());
 }
 
 // ---------------------------------------------------------------------------
