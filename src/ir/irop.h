@@ -112,11 +112,12 @@ struct IROp {
   /// delta (-1 for the naive initial pass). Diagnostics and tests only.
   uint32_t rule_index = 0;
   int32_t delta_pos = -1;
-  /// Update-tree subqueries pin their DeltaKnown atom outermost: an empty
-  /// delta then short-circuits the whole variant, the property that keeps
-  /// an update epoch proportional to the delta. Every reorderer (AOT and
-  /// the JIT backends' compile-time replanning) honors this constraint —
-  /// see optimizer::ReorderSubquery.
+  /// Update-tree subqueries pin their DeltaKnown atom outermost, so the
+  /// delta rows drive the join; lowering orders the remaining join atoms
+  /// so each shares a variable with an earlier one (a probe per delta
+  /// row, not a scan). Every reorderer (AOT and the JIT backends'
+  /// compile-time replanning) keeps the delta first — see
+  /// optimizer::ReorderSubquery.
   bool delta_pinned = false;
   /// Whether range pushdown was enabled when this subquery was lowered
   /// (EngineConfig::range_pushdown). Reorderers re-annotate bounds after

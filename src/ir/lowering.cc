@@ -48,8 +48,8 @@ class LocalMapper {
 /// Variables an atom requires bound before it can execute.
 void FloaterInputs(const AtomSpec& atom, std::set<LocalVar>* inputs) {
   if (atom.is_builtin()) {
-    const size_t n_inputs = datalog::BuiltinBindsOutput(atom.builtin) ? 2 : 2;
-    for (size_t i = 0; i < n_inputs && i < atom.terms.size(); ++i) {
+    // Builtins take two inputs; a third term, if any, is the output.
+    for (size_t i = 0; i < 2 && i < atom.terms.size(); ++i) {
       if (atom.terms[i].is_var) inputs->insert(atom.terms[i].var);
     }
     // A constant or pre-bound output term is a check, not a binder; a
@@ -222,10 +222,12 @@ namespace {
 /// `update_mode` only same-stratum atoms qualify (the in-loop semi-naive
 /// split) and lowering order is preserved. In `update_mode` — the
 /// update-epoch tree — ANY positive atom qualifies, EDB and lower-stratum
-/// predicates included (an epoch may grow any of them), and the delta
-/// atom is rotated to the front so the delta drives the join: a variant
-/// whose delta store is empty then costs O(1), which is what keeps an
-/// update epoch proportional to the delta rather than to the database.
+/// predicates included (an epoch may grow any of them). The delta atom
+/// moves to the front so the delta drives the join, and the other join
+/// atoms follow in connected order: each is the earliest remaining atom,
+/// in rule order, that shares a variable with those bound before it, so
+/// it runs as an index probe keyed by the delta row rather than a scan.
+/// Only a body that is itself disconnected keeps a Cartesian step.
 std::unique_ptr<IROp> BuildSubquery(LoweringState* state,
                                     const datalog::Rule& rule,
                                     uint32_t rule_index, int32_t delta_pos,
@@ -259,10 +261,29 @@ std::unique_ptr<IROp> BuildSubquery(LoweringState* state,
     }
   }
   if (update_mode && delta_pos >= 0) {
-    // Local variable ids are positional in the binding array, so rotating
-    // the join order after mapping is sound.
-    std::rotate(joins.begin(), joins.begin() + delta_pos,
-                joins.begin() + delta_pos + 1);
+    // Local variable ids are positional in the binding array, so reordering
+    // the joins after mapping is sound. `joins` keeps the atoms not yet
+    // placed, in rule order.
+    std::vector<AtomSpec> ordered;
+    ordered.reserve(joins.size());
+    std::set<LocalVar> bound;
+    auto take = [&](std::ptrdiff_t j) {
+      AtomBinds(joins[j], &bound);
+      ordered.push_back(std::move(joins[j]));
+      joins.erase(joins.begin() + j);
+    };
+    auto shares_bound = [&](const AtomSpec& atom) {
+      return std::any_of(atom.terms.begin(), atom.terms.end(),
+                         [&](const LocalTerm& t) {
+                           return t.is_var && bound.count(t.var) > 0;
+                         });
+    };
+    take(delta_pos);
+    while (!joins.empty()) {
+      auto next = std::find_if(joins.begin(), joins.end(), shares_bound);
+      take(next == joins.end() ? 0 : next - joins.begin());
+    }
+    joins = std::move(ordered);
   }
 
   const bool is_agg = rule.agg != datalog::AggFunc::kNone;

@@ -1,5 +1,6 @@
 #include "storage/factlog.h"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
@@ -220,10 +221,22 @@ util::Status FactLog::ScanOrReplay(const std::string& path,
       uint32_t relation = 0;
       uint32_t arity = 0;
       uint32_t count = 0;
-      if (!p.GetU32(&relation) || !p.GetU32(&arity) || !p.GetU32(&count) ||
-          static_cast<uint64_t>(count) * arity * 8 != p.remaining()) {
+      if (!p.GetU32(&relation) || !p.GetU32(&arity) || !p.GetU32(&count)) {
         return Corrupt(path, record_start, "malformed batch record");
       }
+      // The payload must hold exactly `count` facts of `arity` values.
+      // Divide rather than multiply: count * arity * 8 can wrap.
+      const uint64_t fact_bytes = static_cast<uint64_t>(arity) * 8;
+      const bool sized = arity == 0 ? p.remaining() == 0
+                                    : p.remaining() % fact_bytes == 0 &&
+                                          p.remaining() / fact_bytes == count;
+      if (!sized) {
+        return Corrupt(path, record_start, "malformed batch record");
+      }
+      // Zero-arity facts take no payload bytes, so `count` is unbounded
+      // by the record; they are all the one empty tuple, and a set holds
+      // it at most once.
+      if (arity == 0) count = std::min<uint32_t>(count, 1);
       ReplayBatch batch;
       batch.relation = relation;
       batch.facts.reserve(count);

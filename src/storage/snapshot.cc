@@ -167,7 +167,14 @@ util::Status DatabaseSet::OpenSnapshot(const std::string& path) {
                              std::to_string(kSnapshotFormatVersion) + ")");
   }
 
-  // Symbols.
+  // Symbols. Every count is checked against the bytes left before it
+  // sizes an allocation: a checksum guards against damage, not against a
+  // forged file, and a huge count would otherwise abort in reserve().
+  // Each symbol takes at least its u32 length prefix.
+  if (num_symbols > r.remaining() / 4) {
+    return Corrupt(path, "symbol count " + std::to_string(num_symbols) +
+                             " exceeds the file");
+  }
   std::vector<std::string> symbols;
   symbols.reserve(num_symbols);
   section_start = r.pos();
@@ -227,6 +234,10 @@ util::Status DatabaseSet::OpenSnapshot(const std::string& path) {
         !r.GetU32(&watermark) || !r.GetU32(&index_count)) {
       return Corrupt(path, "truncated relation header");
     }
+    // Each declaration is a u32 column and a u8 kind.
+    if (index_count > r.remaining() / 5) {
+      return Corrupt(path, "truncated index declarations for " + name);
+    }
     std::vector<std::pair<uint32_t, IndexKind>> index_decls;
     index_decls.reserve(index_count);
     for (uint32_t i = 0; i < index_count; ++i) {
@@ -249,7 +260,7 @@ util::Status DatabaseSet::OpenSnapshot(const std::string& path) {
     r.GetValues(&arena, static_cast<size_t>(num_values));
     uint32_t edb_count = 0;
     std::vector<RowId> edb;
-    if (!r.GetU32(&edb_count)) {
+    if (!r.GetU32(&edb_count) || edb_count > r.remaining() / 4) {
       return Corrupt(path, "truncated relation " + name);
     }
     edb.reserve(edb_count);

@@ -14,6 +14,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/factgen.h"
@@ -314,6 +315,69 @@ TEST(IncrementalGoldenTest, AndersenAdaptiveRekindsAndStaysGolden) {
   size_t rekinds = 0;
   CheckAndersenGolden(config, &rekinds);
   EXPECT_GT(rekinds, 0u);
+}
+
+// ---- A one-fact epoch probes per delta row, it does not scan ----
+
+/// Total point probes the engine has recorded so far.
+uint64_t PointProbes(const core::Engine& engine) {
+  uint64_t total = 0;
+  for (const auto& [key, stats] : engine.profiler().counters()) {
+    total += stats.point_probes;
+  }
+  return total;
+}
+
+/// Runs Andersen (scale 2) with its last AddrOf fact held out, then adds
+/// that fact as one epoch. Update variants join their atoms in connected
+/// order after the delta, so every atom past the delta is an index probe
+/// keyed by bound variables, and the epoch makes fewer point probes than
+/// it considers tuples. A variant such as [dPointsTo(a,o), Load(v,p),
+/// PointsTo(p,a)] would scan Load per delta row instead.
+TEST(IncrementalProbeTest, OneFactAndersenEpochProbesPerDeltaRow) {
+  core::EngineConfig push;
+  core::EngineConfig pull;
+  pull.engine_style = ir::EngineStyle::kPull;
+  core::EngineConfig bytecode;
+  bytecode.mode = core::EvalMode::kJit;
+  bytecode.jit.backend = backends::BackendKind::kBytecode;
+  core::EngineConfig threads;
+  threads.num_threads = 2;
+  threads.parallel_min_outer_rows = 1;
+  const std::pair<const char*, core::EngineConfig> configs[] = {
+      {"push", push}, {"pull", pull}, {"bytecode", bytecode},
+      {"2 threads", threads}};
+  for (const auto& [name, config] : configs) {
+    SCOPED_TRACE(name);
+    analysis::SListConfig slist;
+    slist.scale = 2;
+    analysis::Workload w =
+        analysis::MakeAndersen(slist, analysis::RuleOrder::kHandOptimized);
+    storage::DatabaseSet& db = w.program->db();
+    const datalog::PredicateId addr_of = w.relations.at("AddrOf");
+    std::vector<Tuple> facts =
+        db.Get(addr_of, storage::DbKind::kDerived).SortedRows();
+    ASSERT_GT(facts.size(), 1u);
+    const Tuple held_out = facts.back();
+    facts.pop_back();
+    db.ClearFacts(addr_of);
+
+    core::Engine engine(w.program.get(), config);
+    CARAC_CHECK_OK(engine.AddFacts(addr_of, facts));
+    CARAC_CHECK_OK(engine.Prepare());
+    CARAC_CHECK_OK(engine.Run());
+    const uint64_t probes_before = PointProbes(engine);
+    CARAC_CHECK_OK(engine.AddFacts(addr_of, {held_out}));
+    core::EpochReport report;
+    CARAC_CHECK_OK(engine.Update(&report));
+    EXPECT_FALSE(report.full);
+    const uint64_t probes = PointProbes(engine) - probes_before;
+    EXPECT_GT(report.stats.tuples_considered, 0u);
+    EXPECT_LT(probes, report.stats.tuples_considered)
+        << "point probes " << probes << " for "
+        << report.stats.tuples_considered << " tuples considered";
+    EXPECT_EQ(Render(engine.Results(w.output)), ReadGolden("andersen"));
+  }
 }
 
 // ---- Non-monotone fallbacks: negation and aggregates retract ----

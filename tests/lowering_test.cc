@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
+#include "analysis/factgen.h"
+#include "analysis/programs.h"
 #include "datalog/dsl.h"
 #include "ir/lowering.h"
 
@@ -137,7 +142,7 @@ TEST(LoweringTest, UpdateTreeHasDeltaVariantPerPositiveAtom) {
   EXPECT_TRUE(irp.strata[0].recompute_triggers.empty());
 
   // 1 positive atom in rule 1 + 2 in rule 2 = 3 update variants, each
-  // with its delta atom rotated to the FRONT (an empty delta then makes
+  // with its delta atom moved to the FRONT (an empty delta then makes
   // the whole variant O(1)) and exactly one DeltaKnown read.
   std::vector<IROp*> spjs;
   Collect(irp.update_root.get(), OpKind::kSpj, &spjs);
@@ -174,6 +179,168 @@ TEST(LoweringTest, UpdateTreeHasDeltaVariantPerPositiveAtom) {
   ASSERT_EQ(swaps.size(), 1u);
   EXPECT_EQ(swaps[0]->relations,
             (std::vector<datalog::PredicateId>{edge.id(), path.id()}));
+}
+
+// ---- Update-variant join order: the delta first, then connected ----
+
+/// True when every join atom after the first shares a variable with the
+/// join atoms before it.
+bool JoinsConnected(const IROp& spj) {
+  std::set<LocalVar> bound;
+  bool first = true;
+  for (const AtomSpec& atom : spj.atoms) {
+    if (!atom.is_join_atom()) continue;
+    bool shares = false;
+    for (const LocalTerm& t : atom.terms) {
+      shares |= t.is_var && bound.count(t.var) > 0;
+    }
+    if (!first && !shares) return false;
+    first = false;
+    for (const LocalTerm& t : atom.terms) {
+      if (t.is_var) bound.insert(t.var);
+    }
+  }
+  return true;
+}
+
+TEST(LoweringTest, AndersenUpdateVariantsJoinInConnectedOrder) {
+  // Rotating the delta to the front alone leaves the third-atom variant
+  // of `PointsTo(v,o) :- Load(v,p), PointsTo(p,a), PointsTo(a,o)` as
+  // [dPointsTo(a,o), Load(v,p), PointsTo(p,a)]: a scan of Load per delta
+  // row. Both rule orders must lower without such a Cartesian step.
+  for (auto order : {analysis::RuleOrder::kHandOptimized,
+                     analysis::RuleOrder::kUnoptimized}) {
+    analysis::SListConfig slist;
+    slist.scale = 1;
+    analysis::Workload w = analysis::MakeAndersen(slist, order);
+    IRProgram irp;
+    ASSERT_TRUE(LowerProgram(w.program.get(), true, &irp).ok());
+    std::vector<IROp*> spjs;
+    Collect(irp.update_root.get(), OpKind::kSpj, &spjs);
+    ASSERT_EQ(spjs.size(), 9u);  // 1 + 2 + 3 + 3 positive body atoms.
+    for (IROp* spj : spjs) {
+      ASSERT_FALSE(spj->atoms.empty());
+      EXPECT_EQ(spj->atoms[0].source, storage::DbKind::kDeltaKnown);
+      EXPECT_TRUE(JoinsConnected(*spj))
+          << OpToString(*spj, *w.program);
+    }
+    if (order == analysis::RuleOrder::kHandOptimized) {
+      const std::string rendered = OpToString(*irp.update_root, *w.program);
+      EXPECT_NE(rendered.find("PointsTo(l0, l3) :- PointsTo@d(l2,l3), "
+                              "PointsTo@*(l1,l2), Load@*(l0,l1)"),
+                std::string::npos)
+          << rendered;
+    }
+  }
+}
+
+TEST(LoweringTest, TcUpdateVariantsKeepTheRotatedOrder) {
+  // Every TC variant is connected once its delta is first, so the atoms
+  // after the delta keep their rule order: the plans lowering produced
+  // when it only moved the delta to the front.
+  Program p;
+  Dsl dsl(&p);
+  auto edge = dsl.Relation("Edge", 2);
+  auto path = dsl.Relation("Path", 2);
+  auto [x, y, z] = dsl.Vars<3>();
+  path(x, y) <<= edge(x, y);
+  path(x, z) <<= path(x, y) & edge(y, z);
+  IRProgram irp;
+  ASSERT_TRUE(LowerProgram(&p, true, &irp).ok());
+  EXPECT_EQ(OpToString(*irp.update_root, p),
+            "ProgramOp#1\n"
+            "  SequenceOp#15\n"
+            "    DoWhileOp#16 [Path]\n"
+            "      SequenceOp#17\n"
+            "        UnionOp*#18 [Path]\n"
+            "          UnionOp#19\n"
+            "            SPJOp#20 -> Path(l0, l1) :- Edge@d(l0,l1)\n"
+            "          UnionOp#21\n"
+            "            SPJOp#22 -> Path(l0, l2) :- Path@d(l0,l1), "
+            "Edge@*(l1,l2)\n"
+            "            SPJOp#23 -> Path(l0, l2) :- Edge@d(l1,l2), "
+            "Path@*(l0,l1)\n"
+            "        SwapClearOp#24 [Edge, Path]\n");
+}
+
+TEST(LoweringTest, FullTreeKeepsTheRuleOrder) {
+  // The full tree and its in-loop semi-naive variants keep the user's
+  // order (the paper's unoptimized vs hand-optimized variable): only
+  // update variants are reordered.
+  analysis::SListConfig slist;
+  slist.scale = 1;
+  analysis::Workload w =
+      analysis::MakeAndersen(slist, analysis::RuleOrder::kHandOptimized);
+  IRProgram irp;
+  ASSERT_TRUE(LowerProgram(w.program.get(), true, &irp).ok());
+  EXPECT_EQ(
+      irp.ToString(*w.program),
+      "ProgramOp#0\n"
+      "  SequenceOp#2\n"
+      "    UnionOp*#3 [PointsTo]\n"
+      "      UnionOp#4\n"
+      "        SPJOp#5 -> PointsTo(l0, l1) :- AddrOf@*(l0,l1)\n"
+      "      UnionOp#6\n"
+      "        SPJOp#7 -> PointsTo(l0, l2) :- Assign@*(l0,l1), "
+      "PointsTo@*(l1,l2)\n"
+      "      UnionOp#8\n"
+      "        SPJOp#9 -> PointsTo(l0, l3) :- Load@*(l0,l1), "
+      "PointsTo@*(l1,l2), PointsTo@*(l2,l3)\n"
+      "      UnionOp#10\n"
+      "        SPJOp#11 -> PointsTo(l2, l3) :- Store@*(l0,l1), "
+      "PointsTo@*(l0,l2), PointsTo@*(l1,l3)\n"
+      "    SwapClearOp#12 [PointsTo]\n"
+      "    DoWhileOp#13 [PointsTo]\n"
+      "      SequenceOp#14\n"
+      "        UnionOp*#15 [PointsTo]\n"
+      "          UnionOp#16\n"
+      "            SPJOp#17 -> PointsTo(l0, l2) :- Assign@*(l0,l1), "
+      "PointsTo@d(l1,l2)\n"
+      "          UnionOp#18\n"
+      "            SPJOp#19 -> PointsTo(l0, l3) :- Load@*(l0,l1), "
+      "PointsTo@d(l1,l2), PointsTo@*(l2,l3)\n"
+      "            SPJOp#20 -> PointsTo(l0, l3) :- Load@*(l0,l1), "
+      "PointsTo@*(l1,l2), PointsTo@d(l2,l3)\n"
+      "          UnionOp#21\n"
+      "            SPJOp#22 -> PointsTo(l2, l3) :- Store@*(l0,l1), "
+      "PointsTo@d(l0,l2), PointsTo@*(l1,l3)\n"
+      "            SPJOp#23 -> PointsTo(l2, l3) :- Store@*(l0,l1), "
+      "PointsTo@*(l0,l2), PointsTo@d(l1,l3)\n"
+      "        SwapClearOp#24 [PointsTo]\n");
+}
+
+TEST(LoweringTest, DisconnectedBodyKeepsDeltaFirstAndEveryAtom) {
+  // R(x,y) :- A(x), B(y) has no connected order: each variant keeps its
+  // delta first and the other atom after it. In S(x,z) :- A(x), B(y),
+  // C(y,z), B connects to dC before A does; from dA nothing connects, so
+  // the earliest remaining atom (B) comes next, then C.
+  Program p;
+  Dsl dsl(&p);
+  auto a = dsl.Relation("A", 1);
+  auto b = dsl.Relation("B", 1);
+  auto c = dsl.Relation("C", 2);
+  auto r = dsl.Relation("R", 2);
+  auto s = dsl.Relation("S", 2);
+  auto [x, y, z] = dsl.Vars<3>();
+  r(x, y) <<= a(x) & b(y);
+  s(x, z) <<= a(x) & b(y) & c(y, z);
+  IRProgram irp;
+  ASSERT_TRUE(LowerProgram(&p, true, &irp).ok());
+  std::vector<IROp*> spjs;
+  Collect(irp.update_root.get(), OpKind::kSpj, &spjs);
+  using Order = std::vector<datalog::PredicateId>;
+  std::map<datalog::PredicateId, std::vector<Order>> orders;
+  for (IROp* spj : spjs) {
+    ASSERT_EQ(spj->atoms[0].source, storage::DbKind::kDeltaKnown);
+    Order order;
+    for (const AtomSpec& atom : spj->atoms) order.push_back(atom.predicate);
+    orders[spj->target].push_back(order);
+  }
+  EXPECT_EQ(orders[r.id()],
+            (std::vector<Order>{{a.id(), b.id()}, {b.id(), a.id()}}));
+  EXPECT_EQ(orders[s.id()], (std::vector<Order>{{a.id(), b.id(), c.id()},
+                                                {b.id(), c.id(), a.id()},
+                                                {c.id(), b.id(), a.id()}}));
 }
 
 TEST(LoweringTest, UpdateTreeOmitsAggregateRules) {

@@ -30,6 +30,7 @@
 #include "datalog/dsl.h"
 #include "storage/factlog.h"
 #include "storage/snapshot.h"
+#include "util/hash.h"
 
 #ifndef CARAC_GOLDEN_DIR
 #error "CARAC_GOLDEN_DIR must point at tests/goldens"
@@ -474,6 +475,165 @@ TEST(CrashRecoveryTest, TornTailIsDiscardedAndTruncated) {
   EXPECT_TRUE(info.log_tail_discarded);
   EXPECT_EQ(std::filesystem::file_size(attempt + "/factlog.bin"),
             fx.log_bytes.size());
+}
+
+// ---- Forged counts: a count that would size an allocation is checked
+// against the bytes that remain before anything is reserved. A checksum
+// only catches damage (FNV-1a is easy to recompute), so each case below
+// must end in a diagnostic Status, never in std::bad_alloc. ----
+
+uint32_t GetU32At(const std::vector<unsigned char>& bytes, size_t at) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(bytes[at + i]) << (8 * i);
+  }
+  return v;
+}
+
+void PutLE(std::vector<unsigned char>* bytes, uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) bytes->push_back((v >> (8 * i)) & 0xFF);
+}
+
+/// Offsets of the first relation's u32 index_count and edb_count in a
+/// snapshot (layout: snapshot.cc DatabaseSet::SaveSnapshot).
+struct FirstRelationOffsets {
+  size_t index_count = 0;
+  size_t edb_count = 0;
+};
+
+FirstRelationOffsets LocateFirstRelation(
+    const std::vector<unsigned char>& snap) {
+  // Header: magic, version u32, relations u32, epoch u64, symbols u64,
+  // then its checksum.
+  size_t at = 8 + 4 + 4 + 8;
+  uint64_t num_symbols = 0;
+  for (int i = 0; i < 8; ++i) {
+    num_symbols |= static_cast<uint64_t>(snap[at + i]) << (8 * i);
+  }
+  at += 8 + 8;
+  for (uint64_t i = 0; i < num_symbols; ++i) at += 4 + GetU32At(snap, at);
+  at += 8;  // Symbol section checksum.
+  at += 4 + GetU32At(snap, at);  // Relation name.
+  const uint32_t arity = GetU32At(snap, at);
+  const uint32_t num_rows = GetU32At(snap, at + 4);
+  FirstRelationOffsets out;
+  out.index_count = at + 12;  // After arity, num_rows, watermark.
+  const uint32_t index_count = GetU32At(snap, out.index_count);
+  out.edb_count = out.index_count + 4 + 5 * static_cast<size_t>(index_count) +
+                  static_cast<size_t>(num_rows) * arity * 8;
+  return out;
+}
+
+util::Status OpenSnapshotBytes(const std::vector<unsigned char>& bytes) {
+  const std::string path = ScratchDir("forged_snapshot") + "/snapshot.bin";
+  WriteFileBytes(path, bytes);
+  storage::DatabaseSet db;
+  return db.OpenSnapshot(path);
+}
+
+TEST(CorruptCountTest, SnapshotIndexCountHighByteIsDiagnostic) {
+  CrashFixture fx("count_index");
+  std::vector<unsigned char> snap = ReadFileBytes(fx.dir + "/snapshot.bin");
+  const FirstRelationOffsets at = LocateFirstRelation(snap);
+  ASSERT_GT(GetU32At(snap, at.index_count), 0u);  // Edge has a join index.
+  snap[at.index_count + 3] = 0xF0;
+  util::Status status = OpenSnapshotBytes(snap);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+      << status.ToString();
+}
+
+TEST(CorruptCountTest, SnapshotEdbCountHighByteIsDiagnostic) {
+  CrashFixture fx("count_edb");
+  std::vector<unsigned char> snap = ReadFileBytes(fx.dir + "/snapshot.bin");
+  const FirstRelationOffsets at = LocateFirstRelation(snap);
+  ASSERT_EQ(GetU32At(snap, at.edb_count), 2u);  // Edge(1,2), Edge(2,3).
+  snap[at.edb_count + 3] = 0xF0;
+  util::Status status = OpenSnapshotBytes(snap);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+      << status.ToString();
+}
+
+TEST(CorruptCountTest, ForgedHeaderSymbolCountIsDiagnostic) {
+  CrashFixture fx("count_symbols");
+  std::vector<unsigned char> snap = ReadFileBytes(fx.dir + "/snapshot.bin");
+  // Claim 2^40 symbols and recompute the header checksum to match.
+  constexpr size_t kSymbolsAt = 8 + 4 + 4 + 8;
+  std::vector<unsigned char> header(snap.begin(), snap.begin() + kSymbolsAt);
+  PutLE(&header, uint64_t{1} << 40, 8);
+  PutLE(&header, util::HashBytes(header.data(), header.size()), 8);
+  std::copy(header.begin(), header.end(), snap.begin());
+  util::Status status = OpenSnapshotBytes(snap);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+      << status.ToString();
+  EXPECT_NE(status.message().find("symbol count"), std::string::npos)
+      << status.ToString();
+}
+
+/// One fact-log record (tag, u32 length, payload, checksum over all
+/// three; layout: factlog.cc) with a valid checksum.
+void AppendLogRecord(std::vector<unsigned char>* log, uint8_t tag,
+                     const std::vector<unsigned char>& payload) {
+  const size_t start = log->size();
+  log->push_back(tag);
+  PutLE(log, payload.size(), 4);
+  log->insert(log->end(), payload.begin(), payload.end());
+  PutLE(log, util::HashBytes(log->data() + start, log->size() - start), 8);
+}
+
+/// The fixture's log plus one forged batch record for Edge with the given
+/// arity and count and no fact bytes, sealed as epoch 5.
+std::vector<unsigned char> LogWithForgedBatch(const CrashFixture& fx,
+                                              uint32_t arity, uint32_t count) {
+  constexpr uint8_t kBatchTag = 1;
+  constexpr uint8_t kCommitTag = 3;
+  std::vector<unsigned char> log = fx.log_bytes;
+  std::vector<unsigned char> batch;
+  PutLE(&batch, /*relation=*/0, 4);
+  PutLE(&batch, arity, 4);
+  PutLE(&batch, count, 4);
+  AppendLogRecord(&log, kBatchTag, batch);
+  std::vector<unsigned char> commit;
+  PutLE(&commit, /*epoch=*/5, 8);
+  AppendLogRecord(&log, kCommitTag, commit);
+  return log;
+}
+
+TEST(CorruptCountTest, ZeroArityBatchWithHugeCountReplaysOneFact) {
+  CrashFixture fx("count_nullary");
+  const std::vector<unsigned char> log =
+      LogWithForgedBatch(fx, /*arity=*/0, /*count=*/0xFFFFFFFFu);
+  const std::string path = ScratchDir("nullary_log") + "/factlog.bin";
+  WriteFileBytes(path, log);
+  storage::FactLog::ReplayResult replay;
+  CARAC_CHECK_OK(storage::FactLog::Replay(path, &replay));
+  ASSERT_EQ(replay.epochs.size(), 4u);
+  ASSERT_EQ(replay.epochs.back().batches.size(), 1u);
+  // Every zero-arity fact is the one empty tuple; replay keeps it once.
+  EXPECT_EQ(replay.epochs.back().batches[0].facts,
+            std::vector<Tuple>{Tuple{}});
+  // Edge has arity 2, so recovery refuses the batch with a diagnostic.
+  uint64_t epoch = 0;
+  std::vector<Tuple> rows;
+  util::Status status = fx.Recover(log, &epoch, &rows);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("rejected"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(CorruptCountTest, BatchSizeThatWrapsIsDiagnostic) {
+  CrashFixture fx("count_wrap");
+  // count * arity * 8 == 2^64, which wraps to the empty payload's 0.
+  const std::vector<unsigned char> log =
+      LogWithForgedBatch(fx, /*arity=*/1u << 30, /*count=*/1u << 31);
+  const std::string path = ScratchDir("wrap_log") + "/factlog.bin";
+  WriteFileBytes(path, log);
+  storage::FactLog::ReplayResult replay;
+  util::Status status = storage::FactLog::Replay(path, &replay);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+      << status.ToString();
+  EXPECT_NE(status.message().find("malformed batch record"),
+            std::string::npos)
+      << status.ToString();
 }
 
 // ---- Auto-checkpoint cadence ----
