@@ -166,7 +166,8 @@ void PrintLayoutAblation() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::ParseFlags(argc, argv);
   const bench::Sizes sizes = bench::Sizes::Get();
   auto factory = bench::Factory("CSPA", analysis::RuleOrder::kHandOptimized,
                                 sizes);

@@ -28,16 +28,17 @@
 // scan — exactly what a mis-organized column costs in practice, and
 // the reason the policy exists.
 //
-// Machine-readable ADAPTIVE lines feed scripts/run_benches.sh; --micro
-// shrinks the workload for the CI bench-smoke job.
+// Each result is also emitted as a record: "phase" (per config and
+// phase), "rekind" (one per policy event), "steady" (per phase) and one
+// "summary". --micro shrinks the workload for the CI bench-smoke job.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "ir/exec_context.h"
 #include "optimizer/adaptive.h"
 #include "storage/database.h"
@@ -54,10 +55,7 @@ using storage::RelationId;
 using storage::RowId;
 using storage::Value;
 
-constexpr IndexKind kStaticKinds[] = {IndexKind::kHash, IndexKind::kSorted,
-                                      IndexKind::kBtree,
-                                      IndexKind::kSortedArray,
-                                      IndexKind::kLearned};
+constexpr char kBench[] = "bench_adaptive_convergence";
 
 struct Phase {
   const char* name;
@@ -174,16 +172,8 @@ double SteadyState(const std::vector<double>& epoch_seconds, size_t n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool micro = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--micro") == 0) {
-      micro = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--micro]\n", argv[0]);
-      return 2;
-    }
-  }
-  const Sizes s = GetSizes(micro);
+  const Sizes s =
+      GetSizes(bench::ParseFlags(argc, argv, bench::kMicroFlag).micro);
 
   std::printf("Adaptive convergence: %lld rows, %lld keys, %zu phases "
               "(shifting point/range mix)\n\n",
@@ -200,7 +190,8 @@ int main(int argc, char** argv) {
   std::vector<double> static_totals;
   // [kind][phase] = steady-state per-epoch seconds.
   std::vector<std::vector<double>> static_steady;
-  for (IndexKind kind : kStaticKinds) {
+  for (const storage::IndexKindInfo& info : storage::kIndexKindTable) {
+    const IndexKind kind = info.kind;
     storage::DatabaseSet db;
     RelationId rel = 0;
     BuildDatabase(kind, s, &db, &rel);
@@ -219,10 +210,11 @@ int main(int argc, char** argv) {
       double sec = 0;
       for (double t : epoch_seconds) total += t, sec += t;
       steady.push_back(SteadyState(epoch_seconds, kSteadyWindow));
-      std::printf("ADAPTIVE config=static-%s phase=%s epochs=%d "
-                  "seconds=%.6f steady_epoch=%.6f\n",
-                  storage::IndexKindName(kind), phase.name, phase.epochs,
-                  sec, steady.back());
+      harness::EmitRecord(kBench, "phase",
+                          {{"config", std::string("static-") + info.name},
+                           {"phase", phase.name}, {"epochs", phase.epochs},
+                           {"seconds", sec, 6},
+                           {"steady_epoch", steady.back(), 6}});
     }
     static_totals.push_back(total);
     static_steady.push_back(steady);
@@ -231,7 +223,7 @@ int main(int argc, char** argv) {
       have_want = true;
     } else if (hits != want_hits) {
       std::fprintf(stderr, "error: %s diverged (%zu hits != %zu)\n",
-                   storage::IndexKindName(kind), hits, want_hits);
+                   info.name, hits, want_hits);
       return 1;
     }
   }
@@ -266,11 +258,12 @@ int main(int argc, char** argv) {
     double sec = 0;
     for (double t : epoch_seconds) adaptive_total += t, sec += t;
     adaptive_steady.push_back(SteadyState(epoch_seconds, kSteadyWindow));
-    std::printf("ADAPTIVE config=adaptive phase=%s epochs=%d seconds=%.6f "
-                "steady_epoch=%.6f kind=%s\n",
-                phase.name, phase.epochs, sec, adaptive_steady.back(),
-                storage::IndexKindName(
-                    db.Get(rel, DbKind::kDerived).IndexKindOf(0)));
+    const IndexKind kind = db.Get(rel, DbKind::kDerived).IndexKindOf(0);
+    harness::EmitRecord(kBench, "phase",
+                        {{"config", "adaptive"}, {"phase", phase.name},
+                         {"epochs", phase.epochs}, {"seconds", sec, 6},
+                         {"steady_epoch", adaptive_steady.back(), 6},
+                         {"kind", storage::IndexKindName(kind)}});
   }
   if (adaptive_hits != want_hits) {
     std::fprintf(stderr, "error: adaptive diverged (%zu hits != %zu)\n",
@@ -278,10 +271,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   for (const optimizer::RekindEvent& event : policy.events()) {
-    std::printf("ADAPTIVE rekind epoch=%llu col=%u from=%s to=%s\n",
-                static_cast<unsigned long long>(event.epoch), event.column,
-                storage::IndexKindName(event.from),
-                storage::IndexKindName(event.to));
+    harness::EmitRecord(kBench, "rekind",
+                        {{"epoch", event.epoch}, {"col", event.column},
+                         {"from", storage::IndexKindName(event.from)},
+                         {"to", storage::IndexKindName(event.to)}});
   }
 
   // The convergence claim: per phase, steady-state adaptive epochs vs
@@ -298,23 +291,23 @@ int main(int argc, char** argv) {
     }
     const double ratio = best > 0 ? adaptive_steady[p] / best : 0;
     if (ratio > worst_steady_ratio) worst_steady_ratio = ratio;
-    std::printf("ADAPTIVE steady phase=%s adaptive_epoch=%.6f "
-                "best_kind=%s best_epoch=%.6f ratio=%.3f\n",
-                s.phases[p].name, adaptive_steady[p],
-                storage::IndexKindName(kStaticKinds[best_kind]), best,
-                ratio);
+    harness::EmitRecord(
+        kBench, "steady",
+        {{"phase", s.phases[p].name}, {"adaptive_epoch", adaptive_steady[p], 6},
+         {"best_kind", storage::kIndexKindTable[best_kind].name},
+         {"best_epoch", best, 6}, {"ratio", ratio, 3}});
   }
 
   const double full_ratio = static_totals[best_static] > 0
                                 ? adaptive_total / static_totals[best_static]
                                 : 0;
-  std::printf("\nADAPTIVE summary adaptive=%.6f rekind_overhead=%.6f "
-              "best_static=%s best=%.6f full_ratio=%.3f "
-              "worst_steady_ratio=%.3f rekinds=%zu\n",
-              adaptive_total, rekind_total,
-              storage::IndexKindName(kStaticKinds[best_static]),
-              static_totals[best_static], full_ratio, worst_steady_ratio,
-              policy.events().size());
+  harness::EmitRecord(
+      kBench, "summary",
+      {{"adaptive", adaptive_total, 6}, {"rekind_overhead", rekind_total, 6},
+       {"best_static", storage::kIndexKindTable[best_static].name},
+       {"best", static_totals[best_static], 6}, {"full_ratio", full_ratio, 3},
+       {"worst_steady_ratio", worst_steady_ratio, 3},
+       {"rekinds", policy.events().size()}});
   if (policy.events().empty()) {
     std::fprintf(stderr,
                  "error: the shifting workload triggered no re-kinds\n");

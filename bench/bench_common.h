@@ -1,12 +1,14 @@
 #ifndef CARAC_BENCH_BENCH_COMMON_H_
 #define CARAC_BENCH_BENCH_COMMON_H_
 
-// Shared workload sizing for the paper-reproduction benches. The paper's
-// datasets (httpd: 1.5M facts) are scaled down so every bench binary
-// finishes in seconds-to-minutes on a laptop; the *shape* of each result
-// (who wins, rough factors, crossovers) is what EXPERIMENTS.md compares.
-// CARAC_BENCH_SCALE=large restores bigger inputs.
+// Shared flags, median and workload sizing for the paper-reproduction
+// benches. The paper's datasets (httpd: 1.5M facts) are scaled down so
+// every bench binary finishes in seconds-to-minutes on a laptop; the
+// *shape* of each result (who wins, rough factors, crossovers) is what
+// EXPERIMENTS.md compares. CARAC_BENCH_SCALE=large restores bigger inputs.
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -15,6 +17,7 @@
 #include "analysis/programs.h"
 #include "harness/runner.h"
 #include "harness/table.h"
+#include "storage/database.h"
 #include "util/parse.h"
 
 namespace carac::bench {
@@ -24,29 +27,83 @@ inline bool LargeScale() {
   return scale != nullptr && std::string(scale) == "large";
 }
 
-/// Parses the one flag the bench mains accept, `--threads N` (evaluation
-/// threads for the Carac engine configurations; 1 = the single-threaded
-/// runs every earlier BENCH_*.json was recorded with). Exits 2 on
-/// malformed input so scripts/run_benches.sh surfaces the mistake.
-inline int ThreadsFromArgs(int argc, char** argv) {
-  int64_t threads = 1;
+/// The command-line flags of a bench main.
+struct Flags {
+  bool micro = false;  ///< --micro: the sub-second slice CI runs.
+  int threads = 1;     ///< --threads N: Carac evaluation threads; 1 is
+                       ///< what every earlier BENCH_*.json recorded.
+};
+
+/// The flags a bench takes, OR-ed into ParseFlags' `accepted`.
+enum FlagSet : unsigned { kNoFlags = 0, kMicroFlag = 1, kThreadsFlag = 2 };
+
+/// Parses argv against the flags in `accepted`. Anything else (an unknown
+/// flag, one this bench does not take, a malformed --threads) prints a
+/// diagnostic and exits 2, so scripts/run_benches.sh surfaces the mistake.
+inline Flags ParseFlags(int argc, char** argv, unsigned accepted = kNoFlags) {
+  Flags flags;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--threads" && i + 1 < argc) {
-      if (!util::ParseInt64(argv[i + 1], &threads) || threads < 1 ||
+    const std::string arg = argv[i];
+    if (arg == "--micro" && (accepted & kMicroFlag)) {
+      flags.micro = true;
+    } else if (arg == "--threads" && (accepted & kThreadsFlag) &&
+               i + 1 < argc) {
+      int64_t threads = 0;
+      if (!util::ParseInt64(argv[++i], &threads) || threads < 1 ||
           threads > 256) {
         std::fprintf(stderr,
                      "error: --threads wants an integer in [1, 256], got "
                      "\"%s\"\n",
-                     argv[i + 1]);
+                     argv[i]);
         std::exit(2);
       }
-      ++i;
+      flags.threads = static_cast<int>(threads);
     } else {
-      std::fprintf(stderr, "usage: %s [--threads N]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s%s%s\n", argv[0],
+                   (accepted & kMicroFlag) ? " [--micro]" : "",
+                   (accepted & kThreadsFlag) ? " [--threads N]" : "");
       std::exit(2);
     }
   }
-  return static_cast<int>(threads);
+  return flags;
+}
+
+/// Median of a bench's repetition timings (upper median on even counts).
+inline double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// Per-relation fact lists of a freshly built workload (construction
+/// inserts facts into Derived), split into a head (the pre-loaded
+/// database) and a tail (the update batch or fact-log tail) of
+/// ~`delta_frac` per relation.
+struct FactSplit {
+  std::vector<std::vector<storage::Tuple>> head;
+  std::vector<std::vector<storage::Tuple>> tail;
+  size_t tail_rows = 0;
+};
+
+inline FactSplit SplitFacts(const analysis::Workload& w, double delta_frac) {
+  const storage::DatabaseSet& db = w.program->db();
+  FactSplit split;
+  split.head.resize(db.NumRelations());
+  split.tail.resize(db.NumRelations());
+  for (storage::RelationId id = 0; id < db.NumRelations(); ++id) {
+    const storage::Relation& rel = db.Get(id, storage::DbKind::kDerived);
+    const size_t rows = rel.NumRows();
+    const size_t tail_n =
+        rows >= 10 ? std::max<size_t>(1, static_cast<size_t>(
+                                            static_cast<double>(rows) *
+                                            delta_frac))
+                   : 0;
+    for (storage::RowId row = 0; row < rows; ++row) {
+      auto& dest = row < rows - tail_n ? split.head[id] : split.tail[id];
+      dest.push_back(rel.View(row).ToTuple());
+    }
+    split.tail_rows += split.tail[id].size();
+  }
+  return split;
 }
 
 struct Sizes {

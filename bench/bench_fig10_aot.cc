@@ -28,7 +28,8 @@ core::EngineConfig AotConfig(bool facts, bool online) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::ParseFlags(argc, argv);
   const bench::Sizes sizes = bench::Sizes::Get();
   std::printf("Fig. 10: ahead-of-time and online compilation — speedup "
               "over \"unoptimized\" (microbenchmarks)\n\n");

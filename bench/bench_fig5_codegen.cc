@@ -42,7 +42,8 @@ double CompileMs(backends::QuotesBackend* backend, const ir::IROp& node,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::ParseFlags(argc, argv);
   const bench::Sizes sizes = bench::Sizes::Get();
   auto factory = bench::Factory("CSPA", analysis::RuleOrder::kHandOptimized,
                                 sizes);

@@ -4,8 +4,9 @@
 
 #include "bench_common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace carac;
+  bench::ParseFlags(argc, argv);
   const bench::Sizes sizes = bench::Sizes::Get();
   bench::PrintSpeedupFigure(
       "Fig. 7: microbenchmarks — speedup over \"unoptimized\" (log-scale "

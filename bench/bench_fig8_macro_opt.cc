@@ -6,7 +6,8 @@
 
 int main(int argc, char** argv) {
   using namespace carac;
-  const int threads = bench::ThreadsFromArgs(argc, argv);
+  const int threads =
+      bench::ParseFlags(argc, argv, bench::kThreadsFlag).threads;
   const bench::Sizes sizes = bench::Sizes::Get();
   bench::PrintSpeedupFigure(
       "Fig. 8: macrobenchmarks — speedup over \"hand-optimized\"",

@@ -7,12 +7,9 @@
 //   epoch: AddFacts(delta) + Update() on an engine already at fixpoint
 //          over the other (100 - delta)% of the facts,
 // checks both land on the same result cardinality, and reports the
-// speedup. Machine-readable INCREMENTAL lines feed the "incremental"
-// section of scripts/run_benches.sh's JSON snapshot (carac-bench/v3).
+// speedup, plus one "incremental" record per workload and delta size.
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -27,42 +24,6 @@ namespace {
 using namespace carac;
 
 constexpr int kReps = 3;
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
-/// Per-relation fact lists of a freshly built workload (construction
-/// inserts facts into Derived), split into a head (the pre-loaded
-/// database) and a tail (the update batch) of ~`delta_frac` per relation.
-struct FactSplit {
-  std::vector<std::vector<storage::Tuple>> head;
-  std::vector<std::vector<storage::Tuple>> tail;
-  size_t tail_rows = 0;
-};
-
-FactSplit SplitFacts(const analysis::Workload& w, double delta_frac) {
-  const storage::DatabaseSet& db = w.program->db();
-  FactSplit split;
-  split.head.resize(db.NumRelations());
-  split.tail.resize(db.NumRelations());
-  for (storage::RelationId id = 0; id < db.NumRelations(); ++id) {
-    const storage::Relation& rel = db.Get(id, storage::DbKind::kDerived);
-    const size_t rows = rel.NumRows();
-    const size_t tail_n =
-        rows >= 10 ? std::max<size_t>(1, static_cast<size_t>(
-                                            static_cast<double>(rows) *
-                                            delta_frac))
-                   : 0;
-    for (storage::RowId row = 0; row < rows; ++row) {
-      auto& dest = row < rows - tail_n ? split.head[id] : split.tail[id];
-      dest.push_back(rel.View(row).ToTuple());
-    }
-    split.tail_rows += split.tail[id].size();
-  }
-  return split;
-}
 
 struct IncResult {
   double full_seconds = 0;
@@ -91,7 +52,7 @@ IncResult Measure(const harness::WorkloadFactory& make,
   std::vector<double> epoch_times;
   for (int rep = 0; rep < kReps; ++rep) {
     analysis::Workload w = make();
-    const FactSplit split = SplitFacts(w, delta_frac);
+    const bench::FactSplit split = bench::SplitFacts(w, delta_frac);
     storage::DatabaseSet& db = w.program->db();
     for (storage::RelationId id = 0; id < db.NumRelations(); ++id) {
       db.ClearFacts(id);
@@ -113,7 +74,7 @@ IncResult Measure(const harness::WorkloadFactory& make,
       result.consistent = false;
     }
   }
-  result.epoch_seconds = Median(epoch_times);
+  result.epoch_seconds = bench::Median(epoch_times);
   return result;
 }
 
@@ -123,7 +84,8 @@ int main(int argc, char** argv) {
   // --threads applies to BOTH arms (full and epoch), so the reported
   // speedup stays an apples-to-apples comparison at that pool width.
   core::EngineConfig config;
-  config.num_threads = bench::ThreadsFromArgs(argc, argv);
+  config.num_threads =
+      bench::ParseFlags(argc, argv, bench::kThreadsFlag).threads;
   const bench::Sizes sizes = bench::Sizes::Get();
   // Edge/vertex ratio 1.5 keeps the closure sparse enough that a 1%
   // edge delta derives a proportionally small path delta; denser graphs
@@ -177,9 +139,11 @@ int main(int argc, char** argv) {
                     harness::FormatSeconds(r.epoch_seconds),
                     harness::FormatSpeedup(speedup),
                     std::to_string(r.output_rows)});
-      std::printf("INCREMENTAL %s delta_pct=%d full=%.6f epoch=%.6f "
-                  "speedup=%.2f\n",
-                  spec.name, pct, r.full_seconds, r.epoch_seconds, speedup);
+      harness::EmitRecord("bench_incremental", "incremental",
+                          {{"workload", spec.name}, {"delta_pct", pct},
+                           {"full_seconds", r.full_seconds, 6},
+                           {"epoch_seconds", r.epoch_seconds, 6},
+                           {"speedup", speedup, 2}});
     }
   }
   std::printf("\n");

@@ -18,17 +18,16 @@
 //            kLearned closes on (or beats) kHash and leaves the
 //            kSorted/kBtree binary searches behind.
 //
-// Machine-readable INDEX lines feed the "index" section of
-// scripts/run_benches.sh's JSON snapshot (carac-bench/v5). `--micro`
-// shrinks the workload to a sub-second slice for the CI bench-smoke job.
+// Each measurement also emits an "index" record (kind, metric, sizes,
+// seconds, throughput). `--micro` shrinks the workload to a sub-second
+// slice for the CI bench-smoke job.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "harness/table.h"
+#include "bench_common.h"
 #include "storage/index.h"
 #include "storage/relation.h"
 #include "util/status.h"
@@ -43,14 +42,7 @@ using storage::RowCursor;
 using storage::RowId;
 using storage::Value;
 
-constexpr IndexKind kAllKinds[] = {IndexKind::kHash, IndexKind::kSorted,
-                                   IndexKind::kBtree, IndexKind::kSortedArray,
-                                   IndexKind::kLearned};
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
+constexpr char kBench[] = "bench_index_micro";
 
 struct Sizes {
   int64_t rows;
@@ -115,7 +107,7 @@ double MeasureUniquePointProbe(const Relation& rel, const Sizes& s) {
       std::exit(1);
     }
   }
-  return Median(times);
+  return bench::Median(times);
 }
 
 double MeasurePointProbe(const Relation& rel, const Sizes& s) {
@@ -133,7 +125,7 @@ double MeasurePointProbe(const Relation& rel, const Sizes& s) {
       std::exit(1);
     }
   }
-  return Median(times);
+  return bench::Median(times);
 }
 
 /// Sliding [lo, lo+span] sweeps across the whole key domain; every
@@ -153,7 +145,7 @@ double MeasureRangeProbe(const Relation& rel, const Sizes& s,
     times.push_back(timer.ElapsedSeconds());
     *total_rows = rows;
   }
-  return Median(times);
+  return bench::Median(times);
 }
 
 /// The duplicate-heavy outer sequence: each key repeated dup_run times
@@ -193,8 +185,8 @@ void MeasureBatch(const Relation& rel, const Sizes& s, double* batch_s,
                  batch_hits, point_hits);
     std::exit(1);
   }
-  *batch_s = Median(batch_times);
-  *point_s = Median(point_times);
+  *batch_s = bench::Median(batch_times);
+  *point_s = bench::Median(point_times);
 }
 
 double Mops(int64_t ops, double seconds) {
@@ -204,16 +196,8 @@ double Mops(int64_t ops, double seconds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool micro = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--micro") == 0) {
-      micro = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--micro]\n", argv[0]);
-      return 2;
-    }
-  }
-  const Sizes s = GetSizes(micro);
+  const Sizes s =
+      GetSizes(bench::ParseFlags(argc, argv, bench::kMicroFlag).micro);
 
   std::printf("Index micro: %lld rows, %lld keys, per-kind "
               "insert/probe/range/batch (median of %d)\n\n",
@@ -222,31 +206,31 @@ int main(int argc, char** argv) {
 
   harness::TablePrinter table({"kind", "insert (s)", "probe (Mop/s)",
                                "range (Mrow/s)", "batch vs point"});
-  for (IndexKind kind : kAllKinds) {
+  for (const storage::IndexKindInfo& info : storage::kIndexKindTable) {
+    const IndexKind kind = info.kind;
     double insert_s = 0;
     Relation rel("R", 2);
     BuildRelation(kind, s, &rel, &insert_s);
 
     const double probe_s = MeasurePointProbe(rel, s);
-    std::printf("INDEX %s probe rows=%lld keys=%lld seconds=%.6f "
-                "mprobes=%.2f\n",
-                storage::IndexKindName(kind),
-                static_cast<long long>(s.rows),
-                static_cast<long long>(s.keys), probe_s,
-                Mops(s.keys, probe_s));
-    std::printf("INDEX %s insert rows=%lld seconds=%.6f mrows=%.2f\n",
-                storage::IndexKindName(kind),
-                static_cast<long long>(s.rows), insert_s,
-                Mops(s.rows, insert_s));
+    const char* name = info.name;
+    harness::EmitRecord(kBench, "index",
+                        {{"kind", name}, {"metric", "probe"}, {"rows", s.rows},
+                         {"keys", s.keys}, {"seconds", probe_s, 6},
+                         {"mprobes", Mops(s.keys, probe_s), 2}});
+    harness::EmitRecord(kBench, "index",
+                        {{"kind", name}, {"metric", "insert"}, {"rows", s.rows},
+                         {"seconds", insert_s, 6},
+                         {"mrows", Mops(s.rows, insert_s), 2}});
 
     {
       Relation urel("U", 2);
       BuildUniqueRelation(kind, s, &urel);
       const double upoint_s = MeasureUniquePointProbe(urel, s);
-      std::printf("INDEX %s upoint rows=%lld seconds=%.6f mprobes=%.2f\n",
-                  storage::IndexKindName(kind),
-                  static_cast<long long>(s.rows), upoint_s,
-                  Mops(s.rows, upoint_s));
+      harness::EmitRecord(kBench, "index",
+                          {{"kind", name}, {"metric", "upoint"},
+                           {"rows", s.rows}, {"seconds", upoint_s, 6},
+                           {"mprobes", Mops(s.rows, upoint_s), 2}});
     }
 
     double range_s = 0;
@@ -254,12 +238,11 @@ int main(int argc, char** argv) {
     std::string range_cell = "-";
     if (storage::IndexKindIsOrdered(kind)) {
       range_s = MeasureRangeProbe(rel, s, &range_rows);
-      std::printf("INDEX %s range rows=%lld span=%lld seconds=%.6f "
-                  "mrows=%.2f\n",
-                  storage::IndexKindName(kind),
-                  static_cast<long long>(s.rows),
-                  static_cast<long long>(s.span), range_s,
-                  Mops(static_cast<int64_t>(range_rows), range_s));
+      harness::EmitRecord(
+          kBench, "index",
+          {{"kind", name}, {"metric", "range"}, {"rows", s.rows},
+           {"span", s.span}, {"seconds", range_s, 6},
+           {"mrows", Mops(static_cast<int64_t>(range_rows), range_s), 2}});
       char buf[32];
       std::snprintf(buf, sizeof buf, "%.1f",
                     Mops(static_cast<int64_t>(range_rows), range_s));
@@ -269,21 +252,18 @@ int main(int argc, char** argv) {
     double batch_s = 0, point_s = 0;
     MeasureBatch(rel, s, &batch_s, &point_s);
     const double speedup = batch_s > 0 ? point_s / batch_s : 0;
-    std::printf("INDEX %s batch rows=%lld window=%lld dup_run=%lld "
-                "batch_s=%.6f point_s=%.6f speedup=%.2f\n",
-                storage::IndexKindName(kind),
-                static_cast<long long>(s.rows),
-                static_cast<long long>(s.window),
-                static_cast<long long>(s.dup_run), batch_s, point_s,
-                speedup);
+    harness::EmitRecord(kBench, "index",
+                        {{"kind", name}, {"metric", "batch"}, {"rows", s.rows},
+                         {"window", s.window}, {"dup_run", s.dup_run},
+                         {"batch_s", batch_s, 6}, {"point_s", point_s, 6},
+                         {"speedup", speedup, 2}});
 
     char insert_cell[32], probe_cell[32], batch_cell[32];
     std::snprintf(insert_cell, sizeof insert_cell, "%.3f", insert_s);
     std::snprintf(probe_cell, sizeof probe_cell, "%.2f",
                   Mops(s.keys, probe_s));
     std::snprintf(batch_cell, sizeof batch_cell, "%.2fx", speedup);
-    table.AddRow({storage::IndexKindName(kind), insert_cell, probe_cell,
-                  range_cell, batch_cell});
+    table.AddRow({name, insert_cell, probe_cell, range_cell, batch_cell});
   }
   std::printf("\n");
   table.Print();

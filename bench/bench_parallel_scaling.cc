@@ -5,9 +5,9 @@
 // comfortably above the parallel dispatch threshold for most of the
 // fixpoint — this is the workload regime the worker pool exists for.
 //
-// Besides the human table, each measurement prints a machine-readable
-//   SCALING <workload> threads=<n> seconds=<s> speedup=<x>
-// line that scripts/run_benches.sh folds into the BENCH_*.json snapshot.
+// Besides the human table, each measurement emits a "scaling" record
+// (workload, threads, seconds, speedup vs 1 thread) for the BENCH_*.json
+// snapshot.
 
 #include <cstdio>
 #include <string>
@@ -16,8 +16,9 @@
 #include "analysis/factgen.h"
 #include "bench_common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace carac;
+  bench::ParseFlags(argc, argv);
   const bool large = bench::LargeScale();
   const bench::Sizes sizes = bench::Sizes::Get();
 
@@ -65,8 +66,9 @@ int main() {
       if (threads == 1) base = m.seconds;
       if (threads == 4) at4 = m.seconds;
       const double speedup = m.seconds > 0 ? base / m.seconds : 0;
-      std::printf("SCALING %s threads=%d seconds=%.4f speedup=%.2f\n",
-                  w.name, threads, m.seconds, speedup);
+      harness::EmitRecord("bench_parallel_scaling", "scaling",
+                          {{"workload", w.name}, {"threads", threads},
+                           {"seconds", m.seconds, 4}, {"speedup", speedup, 2}});
       row.push_back(threads == 1 ? harness::FormatSeconds(m.seconds)
                                  : harness::FormatSeconds(m.seconds) + " (" +
                                        harness::FormatSpeedup(speedup) + ")");

@@ -12,12 +12,12 @@
 //                   the committed tail through one incremental epoch.
 //                   Both arms must land on the same output cardinality.
 //
-// Machine-readable PERSISTENCE lines feed the "persistence" section of
-// scripts/run_benches.sh's JSON snapshot (carac-bench/v4).
+// Each measurement also emits a "persistence" record: kind "snapshot"
+// (rows, bytes, write_s, load_s) or kind "recover" (tail_pct, full_s,
+// recover_s, speedup).
 
-#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -35,47 +35,12 @@ using namespace carac;
 
 constexpr int kReps = 3;
 
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
 std::string ScratchDir(const std::string& name) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / ("carac_bench_" + name);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir.string();
-}
-
-/// Per-relation fact split: head = the pre-loaded database, tail = the
-/// delta that lands in the fact log (same protocol as bench_incremental).
-struct FactSplit {
-  std::vector<std::vector<storage::Tuple>> head;
-  std::vector<std::vector<storage::Tuple>> tail;
-  size_t tail_rows = 0;
-};
-
-FactSplit SplitFacts(const analysis::Workload& w, double delta_frac) {
-  const storage::DatabaseSet& db = w.program->db();
-  FactSplit split;
-  split.head.resize(db.NumRelations());
-  split.tail.resize(db.NumRelations());
-  for (storage::RelationId id = 0; id < db.NumRelations(); ++id) {
-    const storage::Relation& rel = db.Get(id, storage::DbKind::kDerived);
-    const size_t rows = rel.NumRows();
-    const size_t tail_n =
-        rows >= 10 ? std::max<size_t>(1, static_cast<size_t>(
-                                            static_cast<double>(rows) *
-                                            delta_frac))
-                   : 0;
-    for (storage::RowId row = 0; row < rows; ++row) {
-      auto& dest = row < rows - tail_n ? split.head[id] : split.tail[id];
-      dest.push_back(rel.View(row).ToTuple());
-    }
-    split.tail_rows += split.tail[id].size();
-  }
-  return split;
 }
 
 /// Snapshot write/load micro over a tc closure at fixpoint.
@@ -111,11 +76,10 @@ void RunSnapshotMicro() {
     CARAC_CHECK(loaded.Get(w.output, storage::DbKind::kDerived).size() ==
                 engine.ResultSize(w.output));
   }
-  const double bytes =
-      static_cast<double>(std::filesystem::file_size(path));
-  const double write_s = Median(write_times);
-  const double load_s = Median(load_times);
-  const double mb = bytes / (1024.0 * 1024.0);
+  const uintmax_t bytes = std::filesystem::file_size(path);
+  const double write_s = bench::Median(write_times);
+  const double load_s = bench::Median(load_times);
+  const double mb = static_cast<double>(bytes) / (1024.0 * 1024.0);
   std::printf("snapshot micro: tc %lld vertices / %lld edges, %zu stored "
               "rows, %.1f MB\n",
               static_cast<long long>(vertices),
@@ -123,9 +87,10 @@ void RunSnapshotMicro() {
   std::printf("  write: %s s (%.0f MB/s)   load: %s s (%.0f MB/s)\n",
               harness::FormatSeconds(write_s).c_str(), mb / write_s,
               harness::FormatSeconds(load_s).c_str(), mb / load_s);
-  std::printf("PERSISTENCE tc snapshot rows=%zu bytes=%.0f write_s=%.6f "
-              "load_s=%.6f\n",
-              total_rows, bytes, write_s, load_s);
+  harness::EmitRecord("bench_persistence", "persistence",
+                      {{"workload", "tc"}, {"kind", "snapshot"},
+                       {"rows", total_rows}, {"bytes", bytes},
+                       {"write_s", write_s, 6}, {"load_s", load_s, 6}});
   std::filesystem::remove_all(dir);
 }
 
@@ -163,7 +128,7 @@ RecoverResult MeasureRecover(const harness::WorkloadFactory& make,
     config.snapshot_dir = dir;
     {
       analysis::Workload w = make();
-      const FactSplit split = SplitFacts(w, tail_frac);
+      const bench::FactSplit split = bench::SplitFacts(w, tail_frac);
       storage::DatabaseSet& db = w.program->db();
       for (storage::RelationId id = 0; id < db.NumRelations(); ++id) {
         db.ClearFacts(id);
@@ -194,39 +159,21 @@ RecoverResult MeasureRecover(const harness::WorkloadFactory& make,
     }
     std::filesystem::remove_all(dir);
   }
-  result.recover_seconds = Median(recover_times);
+  result.recover_seconds = bench::Median(recover_times);
   return result;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool micro_only = false;
+  const bench::Flags flags = bench::ParseFlags(
+      argc, argv, bench::kMicroFlag | bench::kThreadsFlag);
   core::EngineConfig config;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--micro") == 0) {
-      micro_only = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      int64_t threads = 1;
-      if (!util::ParseInt64(argv[i + 1], &threads) || threads < 1 ||
-          threads > 256) {
-        std::fprintf(stderr,
-                     "error: --threads wants an integer in [1, 256], got "
-                     "\"%s\"\n",
-                     argv[i + 1]);
-        return 2;
-      }
-      config.num_threads = static_cast<int>(threads);
-      ++i;
-    } else {
-      std::fprintf(stderr, "usage: %s [--micro] [--threads N]\n", argv[0]);
-      return 2;
-    }
-  }
+  config.num_threads = flags.threads;
 
   std::printf("Persistence: snapshot throughput and recover-vs-recompute\n\n");
   RunSnapshotMicro();
-  if (micro_only) return 0;
+  if (flags.micro) return 0;
   std::printf("\n");
 
   // The tc arm runs on a GROWTH-ordered graph (analysis::
@@ -281,10 +228,11 @@ int main(int argc, char** argv) {
                     harness::FormatSeconds(r.recover_seconds),
                     harness::FormatSpeedup(speedup),
                     std::to_string(r.output_rows)});
-      std::printf("PERSISTENCE %s recover tail_pct=%d full_s=%.6f "
-                  "recover_s=%.6f speedup=%.2f\n",
-                  spec.name, pct, r.full_seconds, r.recover_seconds,
-                  speedup);
+      harness::EmitRecord("bench_persistence", "persistence",
+                          {{"workload", spec.name}, {"kind", "recover"},
+                           {"tail_pct", pct}, {"full_s", r.full_seconds, 6},
+                           {"recover_s", r.recover_seconds, 6},
+                           {"speedup", speedup, 2}});
     }
   }
   std::printf("\n");

@@ -15,23 +15,20 @@
 //                 costing more than it saves. Parity here is the point.
 //
 // Arms are interleaved within each repetition (on/off order alternating
-// per rep) so frequency drift lands on both sides equally. Machine-
-// readable RANGE lines feed the "range" section of run_benches.sh's
-// JSON snapshot (carac-bench/v7). `--micro` shrinks the workload to a
-// sub-second slice for the CI bench-smoke job.
+// per rep) so frequency drift lands on both sides equally. Each kind and
+// selectivity also emits a "range" record (rows, coverage, matched,
+// on_s, off_s, speedup). `--micro` shrinks the workload to a sub-second
+// slice for the CI bench-smoke job.
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/programs.h"
+#include "bench_common.h"
 #include "core/engine.h"
 #include "datalog/dsl.h"
-#include "harness/runner.h"
-#include "harness/table.h"
 #include "storage/index.h"
 
 namespace {
@@ -39,15 +36,6 @@ namespace {
 using namespace carac;
 using storage::IndexKind;
 using storage::Value;
-
-constexpr IndexKind kAllKinds[] = {IndexKind::kHash, IndexKind::kSorted,
-                                   IndexKind::kBtree, IndexKind::kSortedArray,
-                                   IndexKind::kLearned};
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 struct Sizes {
   int64_t rows;  // unique keys, uniform over [0, rows)
@@ -101,16 +89,8 @@ analysis::Workload MakeRangeWorkload(const Sizes& s, const Span& span) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool micro = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--micro") == 0) {
-      micro = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--micro]\n", argv[0]);
-      return 2;
-    }
-  }
-  const Sizes s = GetSizes(micro);
+  const Sizes s =
+      GetSizes(bench::ParseFlags(argc, argv, bench::kMicroFlag).micro);
   const std::vector<Span> spans = GetSpans(s);
 
   std::printf(
@@ -121,7 +101,8 @@ int main(int argc, char** argv) {
   harness::TablePrinter table(
       {"kind", "selectivity", "on (s)", "off (s)", "on/off"});
   bool diverged = false;
-  for (IndexKind kind : kAllKinds) {
+  for (const storage::IndexKindInfo& info : storage::kIndexKindTable) {
+    const IndexKind kind = info.kind;
     for (const Span& span : spans) {
       const auto factory = [&]() { return MakeRangeWorkload(s, span); };
 
@@ -152,29 +133,26 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "error: pushdown arms diverged under %s/%s "
                      "(on=%zu off=%zu)\n",
-                     storage::IndexKindName(kind), span.label, on_rows,
-                     off_rows);
+                     info.name, span.label, on_rows, off_rows);
         diverged = true;
       }
 
-      const double on_s = Median(on_times);
-      const double off_s = Median(off_times);
+      const double on_s = bench::Median(on_times);
+      const double off_s = bench::Median(off_times);
       const double speedup = on_s > 0 ? off_s / on_s : 0;
       const double coverage =
           static_cast<double>(span.hi - span.lo) / s.rows;
-      std::printf(
-          "RANGE %s %s rows=%lld coverage=%.3f matched=%zu on_s=%.6f "
-          "off_s=%.6f speedup=%.2f\n",
-          storage::IndexKindName(kind), span.label,
-          static_cast<long long>(s.rows), coverage, on_rows, on_s, off_s,
-          speedup);
+      harness::EmitRecord("bench_range_pushdown", "range",
+                          {{"kind", info.name}, {"selectivity", span.label},
+                           {"rows", s.rows}, {"coverage", coverage, 3},
+                           {"matched", on_rows}, {"on_s", on_s, 6},
+                           {"off_s", off_s, 6}, {"speedup", speedup, 2}});
 
       char on_cell[32], off_cell[32], ratio_cell[32];
       std::snprintf(on_cell, sizeof on_cell, "%.4f", on_s);
       std::snprintf(off_cell, sizeof off_cell, "%.4f", off_s);
       std::snprintf(ratio_cell, sizeof ratio_cell, "%.2fx", speedup);
-      table.AddRow({storage::IndexKindName(kind), span.label, on_cell,
-                    off_cell, ratio_cell});
+      table.AddRow({info.name, span.label, on_cell, off_cell, ratio_cell});
     }
   }
   std::printf("\n");

@@ -126,4 +126,12 @@ BENCHMARK(BM_InterpreterSpjKernel)->Arg(4000)->Iterations(250);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN, except that an unrecognized flag exits 2 like every
+// other bench rather than 1.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -10,9 +10,10 @@
 #include "bench_common.h"
 #include "harness/table.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace carac;
   using analysis::RuleOrder;
+  bench::ParseFlags(argc, argv);
   const bench::Sizes sizes = bench::Sizes::Get();
 
   std::printf("Table I: execution time (s) of interpreted Carac queries\n");

@@ -13,7 +13,8 @@
 
 int main(int argc, char** argv) {
   using namespace carac;
-  const int threads = bench::ThreadsFromArgs(argc, argv);
+  const int threads =
+      bench::ParseFlags(argc, argv, bench::kThreadsFlag).threads;
   const bench::Sizes sizes = bench::Sizes::Get();
   const double dlx_timeout = bench::LargeScale() ? 300.0 : 60.0;
 

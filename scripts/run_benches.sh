@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Run the paper-reproduction bench binaries and aggregate wall-clock
-# timings into a BENCH_*.json perf-trajectory snapshot.
+# timings and their records into a BENCH_*.json perf-trajectory snapshot.
 #
 # Usage:
 #   scripts/run_benches.sh [--quick] [--large] [--build-dir DIR] [--out FILE]
@@ -11,15 +11,16 @@
 #   --large       run with CARAC_BENCH_SCALE=large (paper-sized inputs)
 #   --build-dir   directory containing bench/ binaries
 #                 (default: autodetect build, build/release)
-#   --out         output JSON path (default: <repo>/BENCH_pr9.json)
-#   --baseline    snapshot to diff against (default: <repo>/BENCH_pr7.json;
-#                 a per-bench delta table is printed when it exists)
+#   --out         output JSON path (default: <build-dir>/BENCH_local.json;
+#                 name a snapshot to commit, e.g. --out BENCH_prN.json)
+#   --baseline    snapshot to diff against (default: the newest committed
+#                 BENCH_pr*.json; a per-bench delta table is printed when
+#                 it exists)
 #   --threads N   evaluation threads passed to the benches that accept the
-#                 flag (fig6/fig8/table2); recorded as "threads" in the
-#                 JSON. Default 1 keeps snapshots comparable to earlier
-#                 BENCH_*.json files. bench_parallel_scaling always sweeps
-#                 1/2/4/8 threads; its measurements land in the JSON's
-#                 "parallel_scaling" section.
+#                 flag (fig6/fig8/table2/incremental/persistence); recorded
+#                 as "threads" in the JSON. Default 1 keeps snapshots
+#                 comparable to earlier BENCH_*.json files.
+#                 bench_parallel_scaling always sweeps 1/2/4/8 threads.
 #   --sweeps N    run each bench N times back-to-back and record the
 #                 median wall-clock (default 1). Use on noisy/shared
 #                 hosts, where single draws swing ±10-20%; the chosen N
@@ -34,26 +35,10 @@
 #                 printed. Pair with --sweeps 3+ for stable medians.
 #
 # Each bench binary's stdout is saved next to the JSON under bench_logs/.
-#
-# Schema carac-bench/v3 added an "incremental" section: per workload and
-# delta size, bench_incremental's epoch latency vs full re-evaluation
-# (full/epoch seconds + speedup), lifted from its INCREMENTAL lines.
-# Schema carac-bench/v4 adds a "persistence" section lifted from
-# bench_persistence's PERSISTENCE lines: snapshot write/load cost (kind
-# "snapshot") and recovery-vs-recompute latency (kind "recover", per
-# workload and log-tail size).
-# Schema carac-bench/v5 adds an "index" section lifted from
-# bench_index_micro's INDEX lines: per-IndexKind insert/probe/range/
-# batched-probe throughput (metric "batch" carries the batched-vs-point
-# speedup).
-# Schema carac-bench/v6 adds an "adaptive" section lifted from
-# bench_adaptive_convergence's ADAPTIVE lines (per-phase static sweep vs
-# the self-tuning policy, re-kind events, steady-state ratios), plus the
-# optional per-bench "ab_seconds" field written by --ab mode.
-# Schema carac-bench/v7 adds a "range" section lifted from
-# bench_range_pushdown's RANGE lines: per-IndexKind, per-selectivity
-# engine wall-clock with range pushdown on vs off (interleaved arms;
-# "speedup" is off/on, so >1 means the pushdown won).
+# Schema carac-bench/v8: "benches" holds per-bench wall-clock and exit
+# code; "records" holds every record line (one JSON object per line,
+# printed by harness::EmitRecord) of each bench that succeeded in this
+# run, in bench order.
 
 set -u -o pipefail
 
@@ -61,8 +46,8 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 mode=full
 scale=small
 build_dir=""
-out="$repo_root/BENCH_pr9.json"
-baseline="$repo_root/BENCH_pr7.json"
+out=""
+baseline=""
 threads=1
 sweeps=1
 ab_dir=""
@@ -105,7 +90,7 @@ while [ $# -gt 0 ]; do
     --baseline)
       [ $# -ge 2 ] || { echo "error: --baseline needs a value" >&2; exit 2; }
       baseline="$2"; shift ;;
-    -h|--help) sed -n '2,36p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,41p' "$0"; exit 0 ;;
     *) echo "unknown option: $1" >&2; exit 2 ;;
   esac
   shift
@@ -120,6 +105,14 @@ if [ -z "$build_dir" ] || [ ! -d "$build_dir/bench" ]; then
   echo "error: no built bench/ directory found." >&2
   echo "build first: cmake -B build -S . && cmake --build build -j" >&2
   exit 1
+fi
+if [ -z "$out" ]; then
+  out="$build_dir/BENCH_local.json"
+fi
+if [ -z "$baseline" ]; then
+  baseline="$(cd "$repo_root" && git ls-files 'BENCH_pr*.json' 2>/dev/null |
+    sort -V | tail -n 1)"
+  [ -n "$baseline" ] && baseline="$repo_root/$baseline"
 fi
 if [ -n "$ab_dir" ] && [ ! -d "$ab_dir/bench" ]; then
   echo "error: --ab dir has no bench/ subdirectory: $ab_dir" >&2
@@ -161,13 +154,10 @@ else
 fi
 
 rows=""
+# Record lines of this run, one JSON object per line, in bench order.
+records_file="$log_dir/records.jsonl"
+: > "$records_file"
 failures=0
-scaling_ran=false
-incremental_ran=false
-persistence_ran=false
-index_ran=false
-adaptive_ran=false
-range_ran=false
 for bench in "${benches[@]}"; do
   exe="$build_dir/bench/$bench"
   skipped=false
@@ -247,23 +237,10 @@ for bench in "${benches[@]}"; do
   if [ "$code" -ne 0 ]; then
     failures=$((failures + 1))
   fi
-  if [ "$bench" = bench_parallel_scaling ] && [ "$code" = 0 ]; then
-    scaling_ran=true
-  fi
-  if [ "$bench" = bench_incremental ] && [ "$code" = 0 ]; then
-    incremental_ran=true
-  fi
-  if [ "$bench" = bench_persistence ] && [ "$code" = 0 ]; then
-    persistence_ran=true
-  fi
-  if [ "$bench" = bench_index_micro ] && [ "$code" = 0 ]; then
-    index_ran=true
-  fi
-  if [ "$bench" = bench_adaptive_convergence ] && [ "$code" = 0 ]; then
-    adaptive_ran=true
-  fi
-  if [ "$bench" = bench_range_pushdown ] && [ "$code" = 0 ]; then
-    range_ran=true
+  # Records come only from a run of THIS invocation that succeeded: a
+  # stale log from an earlier sweep must not lend its numbers.
+  if [ "$code" -eq 0 ]; then
+    grep '^{"bench": ' "$log_dir/$bench.txt" >> "$records_file"
   fi
   # shellcheck disable=SC2086
   seconds=$(printf '%s\n' $sweep_times | sort -n |
@@ -291,113 +268,9 @@ for bench in "${benches[@]}"; do
 done
 rows="${rows%,\\n}"
 
-# The thread-scaling measurements, lifted from bench_parallel_scaling's
-# machine-readable SCALING lines. Gated on the bench having run (and
-# succeeded) in THIS invocation: a stale log from an earlier sweep must
-# not lend its numbers to a snapshot that skipped the bench.
-scaling_rows=""
-scaling_log="$log_dir/bench_parallel_scaling.txt"
-if [ "$scaling_ran" = true ] && [ -f "$scaling_log" ]; then
-  scaling_rows=$(awk '/^SCALING /{
-    printf "    {\"workload\": \"%s\", \"threads\": %s, \"seconds\": %s, \"speedup\": %s},\n", \
-      $2, substr($3, 9), substr($4, 9), substr($5, 9)
-  }' "$scaling_log")
-  scaling_rows="${scaling_rows%,}"
-fi
-
-# Epoch-latency measurements, lifted from bench_incremental's
-# machine-readable INCREMENTAL lines. Same staleness gate as the scaling
-# section: only a run from THIS invocation contributes.
-incremental_rows=""
-incremental_log="$log_dir/bench_incremental.txt"
-if [ "$incremental_ran" = true ] && [ -f "$incremental_log" ]; then
-  incremental_rows=$(awk '/^INCREMENTAL /{
-    printf "    {\"workload\": \"%s\", \"delta_pct\": %s, \"full_seconds\": %s, \"epoch_seconds\": %s, \"speedup\": %s},\n", \
-      $2, substr($3, 11), substr($4, 6), substr($5, 7), substr($6, 9)
-  }' "$incremental_log")
-  incremental_rows="${incremental_rows%,}"
-fi
-
-# Durable-state measurements, lifted from bench_persistence's
-# PERSISTENCE lines (workload + kind, then generic key=value fields).
-# Same staleness gate as the other sections: only a run from THIS
-# invocation contributes.
-persistence_rows=""
-persistence_log="$log_dir/bench_persistence.txt"
-if [ "$persistence_ran" = true ] && [ -f "$persistence_log" ]; then
-  persistence_rows=$(awk '/^PERSISTENCE /{
-    printf "    {\"workload\": \"%s\", \"kind\": \"%s\"", $2, $3
-    for (i = 4; i <= NF; ++i) {
-      split($i, kv, "=")
-      printf ", \"%s\": %s", kv[1], kv[2]
-    }
-    printf "},\n"
-  }' "$persistence_log")
-  persistence_rows="${persistence_rows%,}"
-fi
-
-# Per-IndexKind micro-costs, lifted from bench_index_micro's INDEX lines
-# (kind + metric, then generic key=value fields). Same staleness gate as
-# the other sections: only a run from THIS invocation contributes.
-index_rows=""
-index_log="$log_dir/bench_index_micro.txt"
-if [ "$index_ran" = true ] && [ -f "$index_log" ]; then
-  index_rows=$(awk '/^INDEX /{
-    printf "    {\"kind\": \"%s\", \"metric\": \"%s\"", $2, $3
-    for (i = 4; i <= NF; ++i) {
-      split($i, kv, "=")
-      printf ", \"%s\": %s", kv[1], kv[2]
-    }
-    printf "},\n"
-  }' "$index_log")
-  index_rows="${index_rows%,}"
-fi
-
-# Self-tuning-policy measurements, lifted from ADAPTIVE lines of
-# bench_adaptive_convergence. Lines carry either a bare record word
-# (rekind / steady / summary) or start straight at key=value fields
-# (the per-config phase timings); string-valued fields (kind names,
-# config/phase labels) are quoted, numerics pass through. Same
-# staleness gate as the other sections.
-adaptive_rows=""
-adaptive_log="$log_dir/bench_adaptive_convergence.txt"
-if [ "$adaptive_ran" = true ] && [ -f "$adaptive_log" ]; then
-  adaptive_rows=$(awk '/^ADAPTIVE /{
-    if ($2 ~ /=/) { printf "    {\"record\": \"phase\""; first = 2 }
-    else          { printf "    {\"record\": \"%s\"", $2; first = 3 }
-    for (i = first; i <= NF; ++i) {
-      split($i, kv, "=")
-      if (kv[2] ~ /^-?[0-9]+([.][0-9]+)?$/)
-        printf ", \"%s\": %s", kv[1], kv[2]
-      else
-        printf ", \"%s\": \"%s\"", kv[1], kv[2]
-    }
-    printf "},\n"
-  }' "$adaptive_log")
-  adaptive_rows="${adaptive_rows%,}"
-fi
-
-# Range-pushdown A/B measurements, lifted from bench_range_pushdown's
-# RANGE lines (kind + selectivity label, then generic key=value fields).
-# Same staleness gate as the other sections: only a run from THIS
-# invocation contributes.
-range_rows=""
-range_log="$log_dir/bench_range_pushdown.txt"
-if [ "$range_ran" = true ] && [ -f "$range_log" ]; then
-  range_rows=$(awk '/^RANGE /{
-    printf "    {\"kind\": \"%s\", \"selectivity\": \"%s\"", $2, $3
-    for (i = 4; i <= NF; ++i) {
-      split($i, kv, "=")
-      printf ", \"%s\": %s", kv[1], kv[2]
-    }
-    printf "},\n"
-  }' "$range_log")
-  range_rows="${range_rows%,}"
-fi
-
 {
   echo "{"
-  echo "  \"schema\": \"carac-bench/v7\","
+  echo "  \"schema\": \"carac-bench/v8\","
   echo "  \"timestamp_utc\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\","
   echo "  \"mode\": \"$mode\","
   echo "  \"scale\": \"$scale\","
@@ -414,23 +287,8 @@ fi
   echo "  \"benches\": ["
   printf '%b\n' "$rows"
   echo "  ],"
-  echo "  \"parallel_scaling\": ["
-  if [ -n "$scaling_rows" ]; then printf '%s\n' "$scaling_rows"; fi
-  echo "  ],"
-  echo "  \"incremental\": ["
-  if [ -n "$incremental_rows" ]; then printf '%s\n' "$incremental_rows"; fi
-  echo "  ],"
-  echo "  \"persistence\": ["
-  if [ -n "$persistence_rows" ]; then printf '%s\n' "$persistence_rows"; fi
-  echo "  ],"
-  echo "  \"index\": ["
-  if [ -n "$index_rows" ]; then printf '%s\n' "$index_rows"; fi
-  echo "  ],"
-  echo "  \"adaptive\": ["
-  if [ -n "$adaptive_rows" ]; then printf '%s\n' "$adaptive_rows"; fi
-  echo "  ],"
-  echo "  \"range\": ["
-  if [ -n "$range_rows" ]; then printf '%s\n' "$range_rows"; fi
+  echo "  \"records\": ["
+  sed 's/^/    /; $!s/$/,/' "$records_file"
   echo "  ]"
   echo "}"
 } > "$out"
@@ -461,6 +319,11 @@ if base.get("mode") != new.get("mode") or base.get("scale") != new.get("scale"):
 if base.get("threads", 1) != new.get("threads", 1):
     print("note: baseline threads=%s differs from this run's threads=%s" %
           (base.get("threads", 1), new.get("threads", 1)))
+for key in ("nproc", "compiler"):
+    if base.get("host", {}).get(key) != new.get("host", {}).get(key):
+        print("note: baseline host %s (%s) differs from this run's (%s)" %
+              (key, base.get("host", {}).get(key),
+               new.get("host", {}).get(key)))
 
 rows = [(n, base_s.get(n), t) for n, t in new_s.items()]
 width = max((len(n) for n, _, _ in rows), default=10)

@@ -1,6 +1,7 @@
 #include "harness/table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 namespace carac::harness {
@@ -62,6 +63,56 @@ std::string FormatSpeedup(double speedup) {
     std::snprintf(buf, sizeof(buf), "%.2fx", speedup);
   }
   return buf;
+}
+
+namespace {
+
+std::string JsonString(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out + "\"";
+}
+
+}  // namespace
+
+RecordField::RecordField(std::string key, const std::string& value)
+    : key(std::move(key)), json(JsonString(value)) {}
+
+RecordField::RecordField(std::string key, double value, int decimals)
+    : key(std::move(key)) {
+  if (!std::isfinite(value)) {
+    json = "null";
+    return;
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
+  json = buf;
+}
+
+std::string FormatRecord(const std::string& bench, const std::string& record,
+                         const std::vector<RecordField>& fields) {
+  std::string out = "{\"bench\": " + JsonString(bench) +
+                    ", \"record\": " + JsonString(record);
+  for (const RecordField& field : fields) {
+    out += ", " + JsonString(field.key) + ": " + field.json;
+  }
+  return out + "}";
+}
+
+void EmitRecord(const std::string& bench, const std::string& record,
+                const std::vector<RecordField>& fields) {
+  std::printf("%s\n", FormatRecord(bench, record, fields).c_str());
 }
 
 }  // namespace carac::harness

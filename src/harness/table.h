@@ -2,6 +2,7 @@
 #define CARAC_HARNESS_TABLE_H_
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace carac::harness {
@@ -31,6 +32,32 @@ class TablePrinter {
 /// "12.3", "0.0123", "1.23e-05"-style compact formatting.
 std::string FormatSeconds(double seconds);
 std::string FormatSpeedup(double speedup);
+
+/// One typed field of a bench record, rendered to its JSON text when
+/// built: a string stays a string, an integer prints exactly, and a
+/// double prints with a fixed number of decimals (non-finite -> null).
+struct RecordField {
+  RecordField(std::string key, const std::string& value);
+  template <typename T, typename = std::enable_if_t<std::is_integral_v<T> &&
+                                                    !std::is_same_v<T, bool>>>
+  RecordField(std::string key, T value)
+      : key(std::move(key)), json(std::to_string(value)) {}
+  RecordField(std::string key, double value, int decimals);
+
+  std::string key;
+  std::string json;
+};
+
+/// One machine-readable bench record as a single-line JSON object:
+/// {"bench": ..., "record": ..., <fields in order>}. scripts/run_benches.sh
+/// collects every such line of a bench's stdout into the snapshot's
+/// `records` array.
+std::string FormatRecord(const std::string& bench, const std::string& record,
+                         const std::vector<RecordField>& fields);
+
+/// FormatRecord() plus a newline, to stdout.
+void EmitRecord(const std::string& bench, const std::string& record,
+                const std::vector<RecordField>& fields);
 
 }  // namespace carac::harness
 

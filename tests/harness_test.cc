@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "harness/runner.h"
 #include "harness/table.h"
 
@@ -34,6 +38,52 @@ TEST(TablePrinterTest, FormatHelpers) {
   EXPECT_EQ(FormatSeconds(0.0123456), "0.01235");
   EXPECT_EQ(FormatSpeedup(1234.5), "1234x");
   EXPECT_EQ(FormatSpeedup(2.5), "2.50x");
+}
+
+TEST(RecordTest, PinsFieldTypes) {
+  // Strings stay strings (even "sorted-array"), integers print exactly,
+  // doubles print with their fixed decimals.
+  EXPECT_EQ(FormatRecord("bench_x", "index",
+                         {{"kind", "sorted-array"},
+                          {"rows", int64_t{200000}},
+                          {"seconds", 0.0000042, 6},
+                          {"speedup", 2.5, 2}}),
+            "{\"bench\": \"bench_x\", \"record\": \"index\", "
+            "\"kind\": \"sorted-array\", \"rows\": 200000, "
+            "\"seconds\": 0.000004, \"speedup\": 2.50}");
+}
+
+TEST(RecordTest, IntegerTypesPrintExactly) {
+  const size_t rows = 83862;
+  const uint64_t big = 18446744073709551615ull;
+  EXPECT_EQ(FormatRecord("b", "r",
+                         {{"rows", rows}, {"big", big}, {"neg", -3},
+                          {"col", uint32_t{7}}}),
+            "{\"bench\": \"b\", \"record\": \"r\", \"rows\": 83862, "
+            "\"big\": 18446744073709551615, \"neg\": -3, \"col\": 7}");
+}
+
+TEST(RecordTest, DoublesUseFixedDecimals) {
+  EXPECT_EQ(FormatRecord("b", "r",
+                         {{"a", 1.0, 0}, {"b", 0.25, 3}, {"c", -1.5, 1}}),
+            "{\"bench\": \"b\", \"record\": \"r\", \"a\": 1, "
+            "\"b\": 0.250, \"c\": -1.5}");
+  // JSON has no inf/nan; a non-finite value becomes null.
+  EXPECT_EQ(FormatRecord("b", "r",
+                         {{"inf", std::numeric_limits<double>::infinity(), 2},
+                          {"nan", std::numeric_limits<double>::quiet_NaN(),
+                           2}}),
+            "{\"bench\": \"b\", \"record\": \"r\", \"inf\": null, "
+            "\"nan\": null}");
+}
+
+TEST(RecordTest, EscapesStrings) {
+  EXPECT_EQ(FormatRecord("b", "r",
+                         {{"label", std::string("a\"b\\c\nd")}}),
+            "{\"bench\": \"b\", \"record\": \"r\", "
+            "\"label\": \"a\\\"b\\\\c\\u000ad\"}");
+  EXPECT_EQ(FormatRecord("b", "r", {}),
+            "{\"bench\": \"b\", \"record\": \"r\"}");
 }
 
 TEST(RunnerTest, MeasureOnceReportsResultsAndStats) {
