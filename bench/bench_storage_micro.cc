@@ -19,6 +19,7 @@
 #include "ir/interpreter.h"
 #include "ir/lowering.h"
 #include "storage/database.h"
+#include "storage/emit_window.h"
 
 namespace {
 
@@ -78,6 +79,65 @@ void BM_Contains(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Contains)->Iterations(18000000);
+
+// Hit-heavy dedup past the caches: a 1M-row Derived store (16 MB of
+// arena, 8 MB of slots) probed in a scattered order, 7 of 8 emissions
+// hitting — the shape of a semi-naive SPJ's output, which BM_Contains's
+// 10K-row table (L2-resident) cannot show. Each iteration emits 4096 head
+// tuples and inserts the misses into a DeltaNew store, which is then
+// cleared. BM_EmitTupleAtATimeLarge is the loop every emitter ran before
+// the emit kernel; BM_EmitWindowLarge sends the same tuples through
+// storage::EmitWindow.
+constexpr int64_t kLargeRows = int64_t{1} << 20;
+constexpr int64_t kLargeEmits = 4096;
+
+struct LargeDedup {
+  storage::Relation derived{"Derived", 2};
+  storage::Relation delta_new{"DeltaNew", 2};
+  int64_t next = 0;
+
+  LargeDedup() {
+    derived.Reserve(kLargeRows);
+    for (int64_t i = 0; i < kLargeRows; ++i) derived.Insert({i, i ^ 0x5bd1});
+  }
+
+  /// The next emitted tuple: row ids in [0, kLargeRows * 8 / 7) visited
+  /// in a scattered order; those past kLargeRows miss.
+  storage::TupleView Next() {
+    next = (next + 2654435761) % (kLargeRows + kLargeRows / 7);
+    tuple[0] = next;
+    tuple[1] = next ^ 0x5bd1;
+    return storage::TupleView(tuple, 2);
+  }
+  storage::Value tuple[2] = {0, 0};
+};
+
+void BM_EmitTupleAtATimeLarge(benchmark::State& state) {
+  LargeDedup d;
+  for (auto _ : state) {
+    for (int64_t i = 0; i < kLargeEmits; ++i) {
+      const storage::TupleView t = d.Next();
+      if (!d.derived.Contains(t)) d.delta_new.Insert(t);
+    }
+    benchmark::DoNotOptimize(d.delta_new.size());
+    d.delta_new.Clear();
+  }
+  state.SetItemsProcessed(state.iterations() * kLargeEmits);
+}
+BENCHMARK(BM_EmitTupleAtATimeLarge)->Iterations(2000);
+
+void BM_EmitWindowLarge(benchmark::State& state) {
+  LargeDedup d;
+  storage::EmitWindow window;
+  for (auto _ : state) {
+    window.Bind(&d.derived, &d.delta_new);
+    for (int64_t i = 0; i < kLargeEmits; ++i) window.Emit(d.Next());
+    benchmark::DoNotOptimize(window.Flush());
+    d.delta_new.Clear();
+  }
+  state.SetItemsProcessed(state.iterations() * kLargeEmits);
+}
+BENCHMARK(BM_EmitWindowLarge)->Iterations(2000);
 
 void BM_SwapClearMerge(benchmark::State& state) {
   storage::DatabaseSet db;

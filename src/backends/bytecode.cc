@@ -11,7 +11,7 @@ void RunBytecode(const BytecodeProgram& program, ir::ExecContext& ctx,
   BytecodeRuntime rt(program, ctx, interp);
   BytecodeRuntime::Iter* const iters = rt.iters();
   storage::Tuple scratch;
-  // Materializes tuple desc `desc`'s registers for kNotContains / kEmit.
+  // Materializes tuple desc `desc`'s registers for kNotContains.
   auto gather = [&](const TupleDesc& desc) -> const storage::Tuple& {
     scratch.clear();
     for (int32_t r : desc.regs) scratch.push_back(regs[r]);
@@ -99,12 +99,20 @@ void RunBytecode(const BytecodeProgram& program, ir::ExecContext& ctx,
                  : pc + 1;
         break;
       }
+      case Insn::Op::kSpjBegin:
+        rt.SpjBegin(pred(insn));
+        ++pc;
+        break;
       case Insn::Op::kEmit: {
-        const TupleDesc& desc = program.tuples[insn.a];
-        rt.Emit(desc.predicate, gather(desc));
+        Value* out = rt.EmitSlot();
+        for (int32_t r : program.tuples[insn.a].regs) *out++ = regs[r];
         ++pc;
         break;
       }
+      case Insn::Op::kSpjEnd:
+        rt.SpjEnd();
+        ++pc;
+        break;
       case Insn::Op::kJump:
         pc = static_cast<size_t>(insn.d);
         break;
@@ -131,9 +139,10 @@ void RunBytecode(const BytecodeProgram& program, ir::ExecContext& ctx,
 
 std::string BytecodeProgram::Disassemble() const {
   static const char* kNames[] = {
-      "loadimm",  "scan",   "probec",  "prober",   "rangeo",   "next",
-      "checkc",   "checkr", "bind",    "cmp",      "arith",    "arithchk",
-      "notcont",  "emit",   "jump",    "swapclr",  "jmpdelta", "iterbump",
+      "loadimm",  "scan",     "probec",   "prober",   "rangeo",
+      "next",     "checkc",   "checkr",   "bind",     "cmp",
+      "arith",    "arithchk", "notcont",  "spjbegin", "emit",
+      "spjend",   "jump",     "swapclr",  "jmpdelta", "iterbump",
       "callnode", "halt"};
   std::string out;
   for (size_t i = 0; i < code.size(); ++i) {

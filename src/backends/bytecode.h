@@ -11,6 +11,7 @@
 #include "ir/interpreter.h"
 #include "ir/irop.h"
 #include "storage/database.h"
+#include "storage/emit_window.h"
 
 namespace carac::backends {
 
@@ -40,7 +41,10 @@ struct Insn {
     kArith,           // regs[g] = arith(b, regs[e], regs[f]); undef -> jump d
     kArithCheck,      // arith(b,e,f) undef or != regs[g] -> jump d
     kNotContains,     // tuple desc a in its relation -> jump d
-    kEmit,            // materialize tuple desc a, insert-if-novel
+    kSpjBegin,        // an SPJ into pred b starts: bind the emit window
+    kEmit,            // append tuple desc a to the emit window
+    kSpjEnd,          // the SPJ ends: flush the emit window. Every exit
+                      // of an SPJ jumps here.
     kJump,            // pc = d
     kSwapClear,       // swap-clear-merge relation set a
     kJumpIfDelta,     // any delta in set a non-empty -> jump d
@@ -80,11 +84,11 @@ struct BytecodeProgram {
 /// quotes backend's generated C++ calls it back through the C ABI of
 /// quotes_codegen.h. Every instruction that touches storage or the
 /// interpreter goes through here — the four opens (with the per-slot
-/// probe memo and profiler counters), kNext, kNotContains, kEmit,
-/// kSwapClear, kJumpIfDelta, kIterBump and kCallNode — so both targets
-/// probe, memoize, count and mutate identically. Methods take their
-/// operands decoded: static fields as the compiler emitted them, register
-/// operands already read.
+/// probe memo and profiler counters), kNext, kNotContains, kSpjBegin,
+/// kEmit, kSpjEnd, kSwapClear, kJumpIfDelta, kIterBump and kCallNode — so
+/// both targets probe, memoize, count and mutate identically. Methods
+/// take their operands decoded: static fields as the compiler emitted
+/// them, register operands already read.
 class BytecodeRuntime {
  public:
   /// One iterator slot: either a whole-relation arena scan (dense RowId
@@ -276,16 +280,23 @@ class BytecodeRuntime {
     return db_.Get(pred, db).Contains(row);
   }
 
-  /// kEmit: inserts `row` into pred's DeltaNew unless Derived already
-  /// holds it.
-  void Emit(datalog::PredicateId pred, storage::TupleView row) {
-    ctx_.stats().tuples_considered++;
-    if (!db_.Get(pred, storage::DbKind::kDerived).Contains(row)) {
-      if (db_.Get(pred, storage::DbKind::kDeltaNew).Insert(row)) {
-        ctx_.stats().tuples_inserted++;
-      }
-    }
+  /// kSpjBegin: counts the SPJ and binds the emit window to pred's
+  /// Derived and DeltaNew.
+  void SpjBegin(datalog::PredicateId pred) {
+    ctx_.stats().spj_executions++;
+    window_.Bind(&db_.Get(pred, storage::DbKind::kDerived),
+                 &db_.Get(pred, storage::DbKind::kDeltaNew));
   }
+
+  /// kEmit: the window space for the head tuple's values, which the
+  /// caller fills before the next runtime call.
+  storage::Value* EmitSlot() {
+    ctx_.stats().tuples_considered++;
+    return window_.Append();
+  }
+
+  /// kSpjEnd: probes and inserts the buffered head tuples.
+  void SpjEnd() { ctx_.stats().tuples_inserted += window_.Flush(); }
 
   /// kSwapClear and kJumpIfDelta's test on relation set `set`.
   void SwapClear(size_t set) {
@@ -314,6 +325,7 @@ class BytecodeRuntime {
   ir::Interpreter& interp_;
   storage::DatabaseSet& db_;
   std::vector<Iter> iters_;
+  storage::EmitWindow window_;
   // Mutation generation for the per-slot probe memos: the stores probes
   // read change only at kSwapClear and kCallNode, so those bump it.
   uint64_t probe_gen_ = 0;

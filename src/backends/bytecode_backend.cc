@@ -150,6 +150,9 @@ class Compiler {
     SpjState s;
     s.bound.assign(op.num_locals, false);
     s.next_temp = op.num_locals;
+    Insn begin{.op = Insn::Op::kSpjBegin};
+    begin.b = static_cast<int32_t>(op.target);
+    Emit(begin);
 
     for (const AtomSpec& atom : op.atoms) {
       if (atom.is_builtin()) {
@@ -178,9 +181,10 @@ class Compiler {
     jump.d = s.fail;
     FailJump(&s, Emit(jump));
 
-    // Patch every exit-sentinel jump to the first instruction after the
-    // subquery.
-    const int32_t exit_pc = static_cast<int32_t>(prog_.code.size());
+    // Patch every exit-sentinel jump to the kSpjEnd that flushes the
+    // emit window, so no path leaves the subquery with tuples buffered.
+    const int32_t exit_pc =
+        static_cast<int32_t>(Emit({.op = Insn::Op::kSpjEnd}));
     for (size_t idx : s.exit_patches) prog_.code[idx].d = exit_pc;
 
     max_reg_ = std::max(max_reg_, s.next_temp);

@@ -72,10 +72,10 @@ constexpr CaracQuotesApi kThunks = {
           return Runtime(rt).Contains(pred, static_cast<storage::DbKind>(db),
                                       storage::TupleView(row, n));
         },
-    .emit =
-        [](void* rt, uint32_t pred, const int64_t* row, uint32_t n) {
-          Runtime(rt).Emit(pred, storage::TupleView(row, n));
-        },
+    .spj_begin =
+        [](void* rt, uint32_t pred) { Runtime(rt).SpjBegin(pred); },
+    .emit = [](void* rt) { return Runtime(rt).EmitSlot(); },
+    .spj_end = [](void* rt) { Runtime(rt).SpjEnd(); },
     .swap_clear = [](void* rt, uint32_t set) { Runtime(rt).SwapClear(set); },
     .any_delta = [](void* rt, uint32_t set) -> int {
       return Runtime(rt).AnyDelta(set);

@@ -167,15 +167,22 @@ void PrintStatement(Printer* p, const BytecodeProgram& program,
       p->Print(")) goto ", fail, "; }");
       return;
     }
+    case Insn::Op::kSpjBegin:
+      p->Print("q.spj_begin(q.rt, ", Unsigned{insn.b}, ");");
+      return;
     case Insn::Op::kEmit: {
       const TupleDesc& desc = program.tuples[insn.a];
-      p->Print("{ ");
-      PrintRowDecl(p, desc);
-      p->Print("q.emit(q.rt, ", Unsigned{desc.predicate}, ", ");
-      PrintRowArgs(p, desc);
-      p->Print("); }");
+      p->Print("{ int64_t* o = q.emit(q.rt);");
+      for (size_t i = 0; i < desc.regs.size(); ++i) {
+        p->Print(" o[", static_cast<int64_t>(i), "] = ", Reg{desc.regs[i]},
+                 ";");
+      }
+      p->Print(" (void)o; }");
       return;
     }
+    case Insn::Op::kSpjEnd:
+      p->Print("q.spj_end(q.rt);");
+      return;
     case Insn::Op::kJump:
       p->Print("goto ", fail, ";");
       return;

@@ -23,8 +23,9 @@ namespace carac::backends {
 /// slot, predicate, DbKind, column, relation-set or call-node index) and
 /// its register operands as values. Each runs the BytecodeRuntime method
 /// RunBytecode's switch runs. `next` returns the slot's new current row
-/// (null when exhausted); `contains` / `emit` take the tuple as a row of
-/// `n` values (null when n is 0).
+/// (null when exhausted); `contains` takes the tuple as a row of `n`
+/// values (null when n is 0); `emit` returns the space the head tuple's
+/// values are written to.
 CARAC_QUOTES_ABI(struct CaracQuotesApi {
   void* rt;
   void (*scan_open)(void* rt, uint32_t iter, uint32_t pred, uint32_t db);
@@ -35,7 +36,9 @@ CARAC_QUOTES_ABI(struct CaracQuotesApi {
   const int64_t* (*next)(void* rt, uint32_t iter);
   int (*contains)(void* rt, uint32_t pred, uint32_t db, const int64_t* row,
                   uint32_t n);
-  void (*emit)(void* rt, uint32_t pred, const int64_t* row, uint32_t n);
+  void (*spj_begin)(void* rt, uint32_t pred);
+  int64_t* (*emit)(void* rt);
+  void (*spj_end)(void* rt);
   void (*swap_clear)(void* rt, uint32_t set);
   int (*any_delta)(void* rt, uint32_t set);
   void (*iter_bump)(void* rt);

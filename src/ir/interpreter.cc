@@ -10,6 +10,7 @@
 
 #include "datalog/builtins.h"
 #include "ir/access_path.h"
+#include "storage/emit_window.h"
 #include "util/status.h"
 
 namespace carac::ir {
@@ -47,17 +48,20 @@ class SubqueryRun {
     ctx_.stats().spj_executions++;
     binding_.assign(op_.num_locals, 0);
     BuildPlan();
+    storage::DatabaseSet& db = ctx_.db();
+    window_.Bind(&db.Get(op_.target, storage::DbKind::kDerived),
+                 &db.Get(op_.target, storage::DbKind::kDeltaNew));
     if (op_.kind == OpKind::kAggregate) {
       Join<false>(0);
       FlushAggregates();
+    } else if (RunSharded()) {
       return;
-    }
-    if (RunSharded()) return;
-    if (ctx_.probe_batch_window() > 0 && BatchEligible()) {
+    } else if (ctx_.probe_batch_window() > 0 && BatchEligible()) {
       JoinBatchedWindow<false>(0, static_cast<size_t>(-1));
-      return;
+    } else {
+      Join<false>(0);
     }
-    Join<false>(0);
+    ctx_.stats().tuples_inserted += window_.Flush();
   }
 
   /// Pool-worker entry: evaluates outer positions [begin, end), staging
@@ -69,12 +73,15 @@ class SubqueryRun {
                 uint64_t* considered) {
     binding_.assign(op_.num_locals, 0);
     BuildPlan();
-    staging_ = out;
+    const storage::DatabaseSet& db = ctx_.db();
+    window_.BindStaged(db.Get(op_.target, storage::DbKind::kDerived),
+                       db.Get(op_.target, storage::DbKind::kDeltaNew), out);
     if (ctx_.probe_batch_window() > 0 && BatchEligible()) {
       JoinBatchedWindow<true>(begin, end);
     } else {
       JoinOuterWindow(begin, end);
     }
+    window_.Flush();
     *considered = staged_considered_;
   }
 
@@ -141,10 +148,10 @@ class SubqueryRun {
     return t.is_var ? binding_[t.var] : t.constant;
   }
 
-  /// kStaged selects the emission sink at compile time (false: insert
-  /// into DeltaNew; true: stage into the worker's buffer), so the
-  /// single-threaded instantiation's machine code is exactly the
-  /// pre-parallel interpreter.
+  /// kStaged selects the emission accounting at compile time (false:
+  /// the context's stats, and aggregates; true: the worker's local count,
+  /// with the window bound to its staging buffer), so the
+  /// single-threaded instantiation carries no shard-mode branch.
   template <bool kStaged>
   void Join(size_t i) {
     if (i == plan_.size()) {
@@ -281,22 +288,11 @@ class SubqueryRun {
     if constexpr (kStaged) {
       // Shard mode (plain SPJs only — aggregates never shard): stats and
       // DeltaNew belong to the main thread, so count locally and stage.
-      // Derived and DeltaNew are frozen while shards run (the merge
-      // happens afterwards), making the pre-filter a safe concurrent
-      // read that keeps the staging sets small.
+      // The window pre-filters against Derived and DeltaNew, which are
+      // frozen while shards run (the merge happens afterwards), keeping
+      // the staging sets small.
       ++staged_considered_;
-      scratch_.clear();
-      for (const LocalTerm& t : op_.head_terms) {
-        scratch_.push_back(Resolve(t));
-      }
-      storage::DatabaseSet& db = ctx_.db();
-      if (db.Get(op_.target, storage::DbKind::kDerived).Contains(scratch_)) {
-        return;
-      }
-      if (db.Get(op_.target, storage::DbKind::kDeltaNew).Contains(scratch_)) {
-        return;
-      }
-      staging_->Insert(scratch_);
+      EmitHead();
       return;
     }
     ctx_.stats().tuples_considered++;
@@ -315,17 +311,13 @@ class SubqueryRun {
       witnesses_.emplace(scratch_, std::move(witness));
       return;
     }
-    scratch_.clear();
-    for (const LocalTerm& t : op_.head_terms) scratch_.push_back(Resolve(t));
-    InsertResult(scratch_);
+    EmitHead();
   }
 
-  void InsertResult(const Tuple& tuple) {
-    storage::DatabaseSet& db = ctx_.db();
-    if (db.Get(op_.target, storage::DbKind::kDerived).Contains(tuple)) return;
-    if (db.Get(op_.target, storage::DbKind::kDeltaNew).Insert(tuple)) {
-      ctx_.stats().tuples_inserted++;
-    }
+  /// Hands the head tuple of the current binding to the emit window.
+  void EmitHead() {
+    Value* out = window_.Append();
+    for (const LocalTerm& t : op_.head_terms) *out++ = Resolve(t);
   }
 
   void FlushAggregates() {
@@ -353,7 +345,7 @@ class SubqueryRun {
     for (const auto& [key, value] : groups) {
       Tuple tuple = key;
       tuple.push_back(value);
-      InsertResult(tuple);
+      window_.Emit(tuple);
     }
   }
 
@@ -367,10 +359,11 @@ class SubqueryRun {
   Tuple scratch_;
   // Aggregation state: distinct (group key, witness) pairs.
   std::set<std::pair<Tuple, Tuple>> witnesses_;
-  // Shard-execution state (parallel evaluation): the staging destination
-  // and a local emission count (pool workers must not touch the shared
-  // stats). Null/unused on the single-threaded path.
-  storage::StagingBuffer* staging_ = nullptr;
+  // Every head tuple goes through here: bound to the target's stores, or
+  // to the worker's staging buffer when sharded.
+  storage::EmitWindow window_;
+  // Shard-execution state (parallel evaluation): a local emission count
+  // (pool workers must not touch the shared stats).
   uint64_t staged_considered_ = 0;
   // Batched-probe window scratch (JoinBatchedWindow), reused per chunk.
   std::vector<RowId> batch_rows_;

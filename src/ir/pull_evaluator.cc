@@ -6,6 +6,7 @@
 
 #include "datalog/builtins.h"
 #include "ir/access_path.h"
+#include "storage/emit_window.h"
 #include "util/status.h"
 
 namespace carac::ir {
@@ -329,6 +330,15 @@ std::vector<std::unique_ptr<RowSource>> BuildPipeline(
   return pipeline;
 }
 
+/// Hands `op`'s head tuple under `binding` to the emit window.
+void EmitHead(const IROp& op, const std::vector<Value>& binding,
+              storage::EmitWindow* window) {
+  Value* out = window->Append();
+  for (const LocalTerm& t : op.head_terms) {
+    *out++ = t.is_var ? binding[t.var] : t.constant;
+  }
+}
+
 /// The Volcano get-next loop over the pipeline's cursor stack, calling
 /// `emit` for every full match. Requires a non-empty pipeline.
 template <typename EmitFn>
@@ -381,18 +391,16 @@ bool TryRunPullSharded(ExecContext& ctx, const IROp& op,
         pipeline[0]->RestrictOuter(begin, end);
         std::vector<Value> binding(op.num_locals, 0);
         uint64_t emitted = 0;
-        Tuple head;
+        // Derived and DeltaNew are frozen until the merge, so the
+        // window's pre-filter probes are safe concurrent reads that keep
+        // the staging sets small.
+        storage::EmitWindow window;
+        window.BindStaged(derived, delta_new, staging);
         RunVolcano(pipeline, binding, [&] {
           ++emitted;
-          head.clear();
-          for (const LocalTerm& t : op.head_terms) {
-            head.push_back(t.is_var ? binding[t.var] : t.constant);
-          }
-          // Derived and DeltaNew are frozen until the merge, so these
-          // are safe concurrent reads that keep the staging sets small.
-          if (derived.Contains(head) || delta_new.Contains(head)) return;
-          staging->Insert(head);
+          EmitHead(op, binding, &window);
         });
+        window.Flush();
         *considered = emitted;
       });
 }
@@ -408,26 +416,20 @@ void RunSubqueryPull(ExecContext& ctx, const IROp& op) {
   if (TryRunPullSharded(ctx, op, pipeline)) return;
 
   storage::DatabaseSet& db = ctx.db();
-  Relation& derived = db.Get(op.target, storage::DbKind::kDerived);
-  Relation& delta_new = db.Get(op.target, storage::DbKind::kDeltaNew);
+  storage::EmitWindow window;
+  window.Bind(&db.Get(op.target, storage::DbKind::kDerived),
+              &db.Get(op.target, storage::DbKind::kDeltaNew));
   std::vector<Value> binding(op.num_locals, 0);
-  Tuple head;
-
   auto emit = [&] {
     ctx.stats().tuples_considered++;
-    head.clear();
-    for (const LocalTerm& t : op.head_terms) {
-      head.push_back(t.is_var ? binding[t.var] : t.constant);
-    }
-    if (derived.Contains(head)) return;
-    if (delta_new.Insert(head)) ctx.stats().tuples_inserted++;
+    EmitHead(op, binding, &window);
   };
-
   if (pipeline.empty()) {
     emit();
-    return;
+  } else {
+    RunVolcano(pipeline, binding, emit);
   }
-  RunVolcano(pipeline, binding, emit);
+  ctx.stats().tuples_inserted += window.Flush();
 }
 
 }  // namespace carac::ir

@@ -91,7 +91,9 @@ void DatabaseSet::RedeclareIndex(RelationId id, size_t column,
 
 bool DatabaseSet::InsertFact(RelationId id, Tuple tuple) {
   Relation& derived = Get(id, DbKind::kDerived);
-  if (derived.Insert(tuple)) {
+  CARAC_CHECK(tuple.size() == derived.arity());
+  const uint64_t hash = derived.Hash(tuple);
+  if (derived.InsertHashed(tuple, hash)) {
     edb_rows_[id].push_back(derived.NumRows() - 1);
     return true;
   }
@@ -101,7 +103,7 @@ bool DatabaseSet::InsertFact(RelationId id, Tuple tuple) {
   // edb_rows_ stays ascending (appends use strictly increasing RowIds),
   // making the membership probe a binary search; a mid-vector insert
   // happens only on this re-assertion path.
-  const RowId row = derived.FindRow(tuple);
+  const RowId row = derived.FindRowHashed(tuple, hash);
   std::vector<RowId>& rows = edb_rows_[id];
   const auto it = std::lower_bound(rows.begin(), rows.end(), row);
   if (it == rows.end() || *it != row) rows.insert(it, row);

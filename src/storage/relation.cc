@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "storage/emit_window.h"
 #include "storage/staging_buffer.h"
 #include "util/hash.h"
 #include "util/status.h"
@@ -9,13 +10,6 @@
 namespace carac::storage {
 
 namespace {
-
-/// Smallest power of two >= n (and >= kMin).
-size_t NextPowerOfTwo(size_t n, size_t k_min) {
-  size_t p = k_min;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 /// Kind-dispatched index maintenance: one predictable switch instead of
 /// a virtual call per indexed column per insert. The Fast entry points of
@@ -63,8 +57,8 @@ inline RowCursor IndexProbe(const IndexBase& index, Value value) {
 void Relation::Reserve(size_t rows) {
   EnsureArenaCapacity(rows * arity_);
   // Size the table so `rows` entries stay under the 3/4 load ceiling.
-  const size_t wanted = NextPowerOfTwo(rows + rows / 3 + 1, kMinSlots);
-  if (wanted > slots_.size()) Rehash(wanted);
+  const size_t wanted = DedupTable::SlotsFor(rows);
+  if (wanted > table_.capacity()) Rehash(wanted);
 }
 
 void Relation::EnsureArenaCapacity(size_t values) {
@@ -101,23 +95,18 @@ RelationReadView Relation::PinView(RowId upto) {
       arity_);
 }
 
-bool Relation::Insert(TupleView tuple) {
-  CARAC_CHECK(tuple.size() == arity_);
+bool Relation::InsertHashed(TupleView tuple, uint64_t hash) {
   // Grow at 3/4 load so linear-probe chains stay short.
-  if ((static_cast<size_t>(num_rows_) + 1) * 4 > slots_.size() * 3) {
-    Rehash(NextPowerOfTwo(slots_.size() * 2, kMinSlots));
-  }
-  const uint64_t hash = util::HashSpan(tuple.data(), arity_);
-  size_t slot = hash & slot_mask_;
-  while (slots_[slot] != kEmptySlot) {
-    if (RowEquals(slots_[slot], tuple)) return false;
-    slot = (slot + 1) & slot_mask_;
-  }
-  // New row: append to the arena and publish its RowId. 0xFFFFFFFF is the
-  // empty-slot sentinel, so it must never become a live RowId — fail
-  // loudly instead of silently corrupting dedup at 2^32-1 rows.
-  CARAC_CHECK(num_rows_ < kEmptySlot);
-  slots_[slot] = num_rows_;
+  if (table_.NeedsGrowth(num_rows_)) Rehash(table_.capacity() * 2);
+  // 0xFFFFFFFF is the empty-slot sentinel, so it must never become a live
+  // RowId — fail loudly instead of silently corrupting dedup at 2^32-1
+  // rows.
+  CARAC_CHECK(num_rows_ < kNoRow);
+  const bool fresh = table_.Insert(hash, num_rows_, [&](RowId row) {
+    return RowValuesEqual(RowData(row), tuple.data(), arity_);
+  });
+  if (!fresh) return false;
+  // New row: append to the arena (its RowId is already published).
   // Capacity is ensured up front so the append itself never reallocates —
   // rows below any pinned view's bound stay where its readers see them.
   EnsureArenaCapacity((static_cast<size_t>(num_rows_) + 1) * arity_);
@@ -129,39 +118,10 @@ bool Relation::Insert(TupleView tuple) {
   return true;
 }
 
-bool Relation::Contains(TupleView tuple) const {
-  CARAC_CHECK(tuple.size() == arity_);
-  if (num_rows_ == 0) return false;
-  const uint64_t hash = util::HashSpan(tuple.data(), arity_);
-  size_t slot = hash & slot_mask_;
-  while (slots_[slot] != kEmptySlot) {
-    if (RowEquals(slots_[slot], tuple)) return true;
-    slot = (slot + 1) & slot_mask_;
-  }
-  return false;
-}
-
-RowId Relation::FindRow(TupleView tuple) const {
-  CARAC_CHECK(tuple.size() == arity_);
-  if (num_rows_ == 0) return kNoRow;
-  const uint64_t hash = util::HashSpan(tuple.data(), arity_);
-  size_t slot = hash & slot_mask_;
-  while (slots_[slot] != kEmptySlot) {
-    if (RowEquals(slots_[slot], tuple)) return slots_[slot];
-    slot = (slot + 1) & slot_mask_;
-  }
-  return kNoRow;
-}
-
 void Relation::Rehash(size_t new_slots) {
-  slots_.assign(new_slots, kEmptySlot);
-  slot_mask_ = new_slots - 1;
-  for (RowId row = 0; row < num_rows_; ++row) {
-    const uint64_t hash = util::HashSpan(RowData(row), arity_);
-    size_t slot = hash & slot_mask_;
-    while (slots_[slot] != kEmptySlot) slot = (slot + 1) & slot_mask_;
-    slots_[slot] = row;
-  }
+  table_.Rebuild(new_slots, num_rows_, [&](RowId row) {
+    return util::HashSpan(RowData(row), arity_);
+  });
 }
 
 void Relation::DeclareIndex(size_t column, IndexKind kind) {
@@ -234,7 +194,7 @@ void Relation::Clear() {
   } else {
     arena_->clear();
   }
-  std::fill(slots_.begin(), slots_.end(), kEmptySlot);
+  table_.Clear();
   for (const std::unique_ptr<IndexBase>& index : indexes_) index->Clear();
 }
 
@@ -252,13 +212,9 @@ size_t Relation::InsertStaged(const StagingBuffer& staged,
   CARAC_CHECK(staged.arity() == arity_);
   if (staged.empty()) return 0;
   Reserve(static_cast<size_t>(num_rows_) + staged.NumRows());
-  size_t inserted = 0;
-  for (uint32_t row = 0; row < staged.NumRows(); ++row) {
-    const TupleView tuple = staged.View(row);
-    if (unless_in != nullptr && unless_in->Contains(tuple)) continue;
-    if (Insert(tuple)) ++inserted;
-  }
-  return inserted;
+  EmitWindow window;
+  window.Bind(unless_in, this);
+  return window.InsertRows(staged.RowData(0), staged.NumRows());
 }
 
 void Relation::CopyIndexDeclarations(const Relation& other) {
@@ -278,7 +234,7 @@ void Relation::LoadContents(std::vector<Value> arena, uint32_t num_rows,
   num_rows_ = num_rows;
   watermark_ = watermark;
   // Rebuild the dedup table at the same load factor Reserve() targets.
-  Rehash(NextPowerOfTwo(num_rows + num_rows / 3 + 1, kMinSlots));
+  Rehash(DedupTable::SlotsFor(num_rows));
   for (const std::unique_ptr<IndexBase>& index : indexes_) {
     index->Clear();
     for (RowId row = 0; row < num_rows_; ++row) {

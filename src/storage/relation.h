@@ -7,9 +7,11 @@
 #include <string>
 #include <vector>
 
+#include "storage/dedup_table.h"
 #include "storage/index.h"
 #include "storage/read_view.h"
 #include "storage/tuple.h"
+#include "util/hash.h"
 #include "util/status.h"
 
 namespace carac::storage {
@@ -24,8 +26,10 @@ class StagingBuffer;
 ///     node, no pointer chasing on scans.
 ///   - Set semantics comes from an open-addressing hash table (linear
 ///     probing, power-of-two capacity, wyhash-style mixing — util/hash.h)
-///     mapping row hashes to RowIds. The table stores 4-byte RowIds, not
-///     nodes, so a rehash is a flat re-bucketing pass.
+///     mapping row hashes to RowIds (storage/dedup_table.h). Each slot is
+///     4 bytes: a RowId plus a hash tag in the bits the RowId does not
+///     need, so a probe skips most non-matching slots without reading the
+///     arena, and a rehash is a flat re-bucketing pass.
 ///   - Per-column secondary indexes (storage/index.h) hold RowIds. RowIds
 ///     never move, so neither arena growth nor rehash invalidates an
 ///     index — incremental maintenance on insert is all that is needed.
@@ -67,7 +71,10 @@ class Relation {
   /// TupleView; `tuple` may not alias this relation's own arena unless it
   /// is already present (a self-view is by definition a duplicate, so
   /// that case is safe).
-  bool Insert(TupleView tuple);
+  bool Insert(TupleView tuple) {
+    CARAC_CHECK(tuple.size() == arity_);
+    return InsertHashed(tuple, Hash(tuple));
+  }
   /// Overloads for Tuple lvalues and braced call sites (`Insert({1, 2})`),
   /// which cannot reach the TupleView conversion on their own.
   bool Insert(const Tuple& tuple) { return Insert(TupleView(tuple)); }
@@ -75,7 +82,10 @@ class Relation {
     return Insert(TupleView(values.begin(), values.size()));
   }
 
-  bool Contains(TupleView tuple) const;
+  bool Contains(TupleView tuple) const {
+    CARAC_CHECK(tuple.size() == arity_);
+    return ContainsHashed(tuple, Hash(tuple));
+  }
   bool Contains(const Tuple& tuple) const {
     return Contains(TupleView(tuple));
   }
@@ -84,8 +94,32 @@ class Relation {
   }
 
   /// RowId of the row equal to `tuple`, or kNoRow when absent.
-  static constexpr RowId kNoRow = 0xFFFFFFFFu;
-  RowId FindRow(TupleView tuple) const;
+  static constexpr RowId kNoRow = DedupTable::kEmpty;
+  RowId FindRow(TupleView tuple) const {
+    CARAC_CHECK(tuple.size() == arity_);
+    return FindRowHashed(tuple, Hash(tuple));
+  }
+
+  // ---- Hash-once probes (the emit kernel, storage/emit_window.h) ----
+  //
+  // The same operations on a tuple of arity() values whose Hash() the
+  // caller computed once and hands to every table it probes.
+
+  /// The dedup hash of a row of this relation's arity.
+  uint64_t Hash(TupleView tuple) const {
+    return util::HashSpan(tuple.data(), arity_);
+  }
+  bool ContainsHashed(TupleView tuple, uint64_t hash) const {
+    return num_rows_ != 0 && FindRowHashed(tuple, hash) != kNoRow;
+  }
+  RowId FindRowHashed(TupleView tuple, uint64_t hash) const {
+    return table_.Find(hash, [&](RowId row) {
+      return RowValuesEqual(RowData(row), tuple.data(), arity_);
+    });
+  }
+  bool InsertHashed(TupleView tuple, uint64_t hash);
+  /// Pulls the home slot of `hash` towards the cache.
+  void PrefetchSlot(uint64_t hash) const { table_.Prefetch(hash); }
 
   // ---- Row addressing ----
 
@@ -257,17 +291,6 @@ class Relation {
 
  private:
   static constexpr size_t kNoIndex = static_cast<size_t>(-1);
-  static constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
-  static constexpr size_t kMinSlots = 16;
-
-  /// True iff row `row` holds exactly the values of `tuple`.
-  bool RowEquals(RowId row, TupleView tuple) const {
-    const Value* stored = RowData(row);
-    for (size_t i = 0; i < arity_; ++i) {
-      if (stored[i] != tuple[i]) return false;
-    }
-    return true;
-  }
 
   /// Grows the slot table to `new_slots` (a power of two) and re-buckets
   /// every row. Indexes are untouched: they store RowIds.
@@ -301,10 +324,8 @@ class Relation {
   /// Epoch boundary: rows >= watermark_ arrived after the last
   /// AdvanceWatermark() call.
   RowId watermark_ = 0;
-  /// Open-addressing dedup table: RowId per slot, kEmptySlot when free.
-  /// Power-of-two size; linear probing on HashSpan of the row.
-  std::vector<uint32_t> slots_;
-  size_t slot_mask_ = 0;
+  /// Open-addressing dedup table over the arena rows (tagged RowIds).
+  DedupTable table_;
   /// Owned through the interface; the concrete organization is chosen at
   /// declaration time (storage/index.h factory).
   std::vector<std::unique_ptr<IndexBase>> indexes_;

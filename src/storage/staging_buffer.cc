@@ -1,8 +1,5 @@
 #include "storage/staging_buffer.h"
 
-#include "util/hash.h"
-#include "util/status.h"
-
 namespace carac::storage {
 
 void StagingBuffer::Reset(size_t arity) {
@@ -10,73 +7,32 @@ void StagingBuffer::Reset(size_t arity) {
   arena_.clear();
   // Capacity for the previous batch under the 3/4 load ceiling. A table
   // that ballooned for one big rule is shrunk back towards it — without
-  // this, every later Reset would memset the historical maximum even
-  // when the tail iterations stage a handful of tuples.
-  size_t wanted = kMinSlots;
-  const size_t need = static_cast<size_t>(num_rows_) + num_rows_ / 3 + 1;
-  while (wanted < need) wanted <<= 1;
+  // this, every later Reset would clear the historical maximum even when
+  // the tail iterations stage a handful of tuples.
+  const size_t wanted = DedupTable::SlotsFor(num_rows_);
   num_rows_ = 0;
-  if (slots_.empty() || slots_.size() > wanted * 4) {
-    slots_.assign(wanted, kEmptySlot);
-    slot_mask_ = wanted - 1;
+  if (table_.capacity() > wanted * 4) {
+    table_.Reset(wanted);
   } else {
-    std::fill(slots_.begin(), slots_.end(), kEmptySlot);
+    table_.Clear();
   }
 }
 
-bool StagingBuffer::RowEquals(uint32_t row, TupleView tuple) const {
-  const Value* stored = arena_.data() + static_cast<size_t>(row) * arity_;
-  for (size_t i = 0; i < arity_; ++i) {
-    if (stored[i] != tuple[i]) return false;
+bool StagingBuffer::InsertHashed(TupleView tuple, uint64_t hash) {
+  // Grow at 3/4 load so linear-probe chains stay short.
+  if (table_.NeedsGrowth(num_rows_)) {
+    table_.Rebuild(table_.capacity() * 2, num_rows_, [&](uint32_t row) {
+      return util::HashSpan(RowData(row), arity_);
+    });
   }
-  return true;
-}
-
-bool StagingBuffer::Insert(TupleView tuple) {
-  CARAC_CHECK(tuple.size() == arity_);
-  // Grow at 3/4 load so linear-probe chains stay short. The kMinSlots
-  // floor also covers a buffer that was never Reset (slots_ empty), where
-  // doubling zero would otherwise produce a zero-slot table.
-  if ((static_cast<size_t>(num_rows_) + 1) * 4 > slots_.size() * 3) {
-    const size_t doubled = slots_.size() * 2;
-    Rehash(doubled < kMinSlots ? kMinSlots : doubled);
-  }
-  const uint64_t hash = util::HashSpan(tuple.data(), arity_);
-  size_t slot = hash & slot_mask_;
-  while (slots_[slot] != kEmptySlot) {
-    if (RowEquals(slots_[slot], tuple)) return false;
-    slot = (slot + 1) & slot_mask_;
-  }
-  CARAC_CHECK(num_rows_ < kEmptySlot);
-  slots_[slot] = num_rows_;
+  CARAC_CHECK(num_rows_ < DedupTable::kEmpty);
+  const bool fresh = table_.Insert(hash, num_rows_, [&](uint32_t row) {
+    return RowValuesEqual(RowData(row), tuple.data(), arity_);
+  });
+  if (!fresh) return false;
   arena_.insert(arena_.end(), tuple.begin(), tuple.end());
   ++num_rows_;
   return true;
-}
-
-bool StagingBuffer::Contains(TupleView tuple) const {
-  CARAC_CHECK(tuple.size() == arity_);
-  if (num_rows_ == 0) return false;
-  const uint64_t hash = util::HashSpan(tuple.data(), arity_);
-  size_t slot = hash & slot_mask_;
-  while (slots_[slot] != kEmptySlot) {
-    if (RowEquals(slots_[slot], tuple)) return true;
-    slot = (slot + 1) & slot_mask_;
-  }
-  return false;
-}
-
-void StagingBuffer::Rehash(size_t new_slots) {
-  slots_.assign(new_slots, kEmptySlot);
-  slot_mask_ = new_slots - 1;
-  for (uint32_t row = 0; row < num_rows_; ++row) {
-    const uint64_t hash =
-        util::HashSpan(arena_.data() + static_cast<size_t>(row) * arity_,
-                       arity_);
-    size_t slot = hash & slot_mask_;
-    while (slots_[slot] != kEmptySlot) slot = (slot + 1) & slot_mask_;
-    slots_[slot] = row;
-  }
 }
 
 }  // namespace carac::storage

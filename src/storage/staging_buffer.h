@@ -4,16 +4,21 @@
 #include <cstdint>
 #include <vector>
 
+#include "storage/dedup_table.h"
 #include "storage/tuple.h"
+#include "util/hash.h"
+#include "util/status.h"
 
 namespace carac::storage {
 
 /// One worker's spill set during parallel subquery evaluation: newly
 /// derived tuples staged row-major in a private arena, deduplicated with
-/// the same open-addressing linear-probe table (power-of-two capacity,
-/// HashSpan mixing — util/hash.h) the arena Relation uses. It is a
-/// Relation stripped of everything staging never needs: no name, no
-/// secondary indexes, no cross-thread visibility.
+/// the same tagged open-addressing table (storage/dedup_table.h) the
+/// arena Relation uses. It is a Relation stripped of everything staging
+/// never needs: no name, no secondary indexes, no cross-thread
+/// visibility. Workers stage through an EmitWindow (storage/
+/// emit_window.h), which hashes each tuple once for every table it
+/// probes.
 ///
 /// Protocol: the main thread re-arms one buffer per worker (Reset keeps
 /// capacity, so steady-state parallel evaluation allocates nothing),
@@ -38,31 +43,37 @@ class StagingBuffer {
 
   /// Stages a copy of `tuple`; returns true if it was not already staged.
   /// `tuple` may not alias this buffer's own arena.
-  bool Insert(TupleView tuple);
-
-  bool Contains(TupleView tuple) const;
-
-  TupleView View(uint32_t row) const {
-    return TupleView(arena_.data() + static_cast<size_t>(row) * arity_,
-                     arity_);
+  bool Insert(TupleView tuple) {
+    CARAC_CHECK(tuple.size() == arity_);
+    return InsertHashed(tuple, util::HashSpan(tuple.data(), arity_));
+  }
+  bool Contains(TupleView tuple) const {
+    CARAC_CHECK(tuple.size() == arity_);
+    return ContainsHashed(tuple, util::HashSpan(tuple.data(), arity_));
   }
 
+  /// Insert and Contains for a tuple whose HashSpan the caller computed.
+  bool InsertHashed(TupleView tuple, uint64_t hash);
+  bool ContainsHashed(TupleView tuple, uint64_t hash) const {
+    return num_rows_ != 0 &&
+           table_.Find(hash, [&](uint32_t row) {
+             return RowValuesEqual(RowData(row), tuple.data(), arity_);
+           }) != DedupTable::kEmpty;
+  }
+
+  /// Row-major values of staged row `row` (rows are contiguous).
+  const Value* RowData(uint32_t row) const {
+    return arena_.data() + static_cast<size_t>(row) * arity_;
+  }
+  TupleView View(uint32_t row) const { return TupleView(RowData(row), arity_); }
+
  private:
-  static constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
-  static constexpr size_t kMinSlots = 16;
-
-  bool RowEquals(uint32_t row, TupleView tuple) const;
-  /// Grows the slot table to `new_slots` (a power of two) and re-buckets
-  /// every staged row.
-  void Rehash(size_t new_slots);
-
   size_t arity_ = 0;
   /// Row-major staged tuples: row r occupies [r*arity, (r+1)*arity).
   std::vector<Value> arena_;
   uint32_t num_rows_ = 0;
-  /// Open-addressing dedup table: row id per slot, kEmptySlot when free.
-  std::vector<uint32_t> slots_;
-  size_t slot_mask_ = 0;
+  /// Open-addressing dedup table over the staged rows.
+  DedupTable table_;
 };
 
 }  // namespace carac::storage

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "analysis/programs.h"
 #include "core/compile_manager.h"
 #include "core/engine.h"
@@ -267,6 +270,71 @@ TEST(CompileManagerTest, ReordersTakenOncePerCompletedCompile) {
   EXPECT_GT(unit_reorders, 0);
   EXPECT_EQ(manager.TakeReorders(), static_cast<uint64_t>(unit_reorders));
   EXPECT_EQ(manager.TakeReorders(), 0u);
+}
+
+bool CompilerAvailable() {
+  const char* cxx = std::getenv("CARAC_CXX");
+  const std::string probe = std::string(cxx != nullptr ? cxx : "c++") +
+                            " --version > /dev/null 2>&1";
+  return std::system(probe.c_str()) == 0;
+}
+
+// Every backend evaluates the same fixpoint, so the evaluation counters —
+// iterations, SPJ executions, tuples considered and inserted — must equal
+// the interpreter's under each of them: a backend that skipped a counter
+// (bytecode and quotes once never counted SPJ executions) shows here. The
+// three compiling backends also share the JIT's schedule (the IR
+// generator rewrites the live tree instead), so they must agree on every
+// ExecStats field.
+void CheckStatsParity(const char* name, analysis::Workload (*make)()) {
+  analysis::Workload reference_workload = make();
+  Engine reference(reference_workload.program.get(), EngineConfig{});
+  ASSERT_TRUE(reference.Prepare().ok());
+  ASSERT_TRUE(reference.Run().ok());
+  const ir::ExecStats& want = reference.stats();
+  EXPECT_GT(want.spj_executions, 0u) << name;
+
+  std::string first;
+  for (backends::BackendKind backend :
+       {backends::BackendKind::kIRGenerator, backends::BackendKind::kLambda,
+        backends::BackendKind::kBytecode, backends::BackendKind::kQuotes}) {
+    if (backend == backends::BackendKind::kQuotes && !CompilerAvailable()) {
+      continue;
+    }
+    analysis::Workload w = make();
+    Engine engine(w.program.get(), JitConfigFor(backend, Granularity::kUnion));
+    ASSERT_TRUE(engine.Prepare().ok());
+    ASSERT_TRUE(engine.Run().ok());
+    const ir::ExecStats& got = engine.stats();
+    const char* kind = backends::BackendKindName(backend);
+    EXPECT_EQ(got.iterations, want.iterations) << name << " " << kind;
+    EXPECT_EQ(got.spj_executions, want.spj_executions) << name << " " << kind;
+    EXPECT_EQ(got.tuples_inserted, want.tuples_inserted) << name << " " << kind;
+    EXPECT_EQ(got.tuples_considered, want.tuples_considered)
+        << name << " " << kind;
+    if (backend == backends::BackendKind::kIRGenerator) continue;
+    if (first.empty()) {
+      first = got.ToString();
+    } else {
+      EXPECT_EQ(got.ToString(), first) << name << " " << kind;
+    }
+  }
+}
+
+TEST(JitTest, ExecStatsAgreeAcrossBackendsOnAndersen) {
+  CheckStatsParity("andersen", [] {
+    analysis::SListConfig config;
+    config.scale = 2;
+    return analysis::MakeAndersen(config, analysis::RuleOrder::kHandOptimized);
+  });
+}
+
+TEST(JitTest, ExecStatsAgreeAcrossBackendsOnCspa) {
+  CheckStatsParity("cspa", [] {
+    analysis::CspaConfig config;
+    config.total_tuples = 150;
+    return analysis::MakeCspa(config, analysis::RuleOrder::kUnoptimized);
+  });
 }
 
 TEST(JitTest, GranularityNames) {

@@ -179,7 +179,7 @@ TEST(QuotesBackendTest, NegationAndBuiltins) {
                   .Contains({8, 64}));
 }
 
-TEST(QuotesBackendTest, ZeroArityHeadEmitsANullRow) {
+TEST(QuotesBackendTest, ZeroArityHeadEmitsAnEmptyRow) {
   if (!CompilerAvailable()) GTEST_SKIP() << "no C++ compiler";
   Fixture f([](Dsl* dsl) {
     auto edge = dsl->Relation("Edge", 2);
@@ -188,8 +188,9 @@ TEST(QuotesBackendTest, ZeroArityHeadEmitsANullRow) {
     edge.Fact(1, 2);
     return found.id();
   });
+  // The emit writes no values into its window space.
   EXPECT_NE(GenerateQuotesSource(CompileFixture(f, CompileMode::kFull))
-                .find("(const int64_t*)0, 0u"),
+                .find("{ int64_t* o = q.emit(q.rt); (void)o; }"),
             std::string::npos);
   QuotesBackend backend;
   CompileRequest request;

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "storage/database.h"
+#include "storage/dedup_table.h"
+#include "storage/emit_window.h"
 #include "storage/relation.h"
+#include "storage/staging_buffer.h"
 #include "storage/symbol_table.h"
 #include "storage/tuple.h"
+#include "util/rng.h"
 
 namespace carac::storage {
 namespace {
@@ -449,6 +456,200 @@ TEST(ReadViewTest, UnpinnedRelationKeepsCapacityOnClear) {
   for (Value v = 0; v < 64; ++v) rel.Insert({v});
   // Same buffer, same address: the clear recycled storage in place.
   EXPECT_EQ(rel.RowData(0), before);
+}
+
+// ---- The emit kernel (EmitWindow) and its tagged slot format ----
+
+/// The unbuffered emit loop the kernel must reproduce: a tuple in Derived
+/// is dropped, any other is appended to DeltaNew unless already there.
+struct EmitOracle {
+  std::set<Tuple> derived;
+  std::set<Tuple> delta;
+  std::vector<Tuple> delta_order;
+
+  bool Emit(const Tuple& t) {
+    if (derived.count(t) > 0 || !delta.insert(t).second) return false;
+    delta_order.push_back(t);
+    return true;
+  }
+};
+
+std::vector<Tuple> RowsInOrder(const Relation& rel) {
+  std::vector<Tuple> rows;
+  for (TupleView t : rel.rows()) rows.push_back(t.ToTuple());
+  return rows;
+}
+
+TEST(EmitWindowTest, MatchesSetOracleAcrossAritiesAndRehashes) {
+  for (size_t arity : {0u, 1u, 2u, 3u, 5u}) {
+    util::Rng rng(100 + arity);
+    Relation derived("D", arity);
+    Relation delta_new("N", arity);
+    EmitOracle oracle;
+    EmitWindow window;
+    // Rounds of "SPJs" of random length (many shorter than one window, so
+    // a partial window is flushed at the end), each followed by the merge
+    // of DeltaNew into Derived: both tables grow across several rehash
+    // boundaries while the window is in use.
+    for (int spj = 0; spj < 60; ++spj) {
+      window.Bind(&derived, &delta_new);
+      const size_t emits = rng.NextBounded(4 * EmitWindow::kWindow) + 1;
+      uint64_t want_inserted = 0;
+      for (size_t i = 0; i < emits; ++i) {
+        Tuple t;
+        for (size_t c = 0; c < arity; ++c) {
+          // A domain that grows with the rounds: early rounds are nearly
+          // all duplicates, later ones keep inserting.
+          t.push_back(static_cast<Value>(rng.NextBounded(8 + 4 * spj)));
+        }
+        want_inserted += oracle.Emit(t);
+        window.Emit(t);
+      }
+      ASSERT_EQ(window.Flush(), want_inserted)
+          << "arity " << arity << " spj " << spj;
+      ASSERT_EQ(RowsInOrder(delta_new), oracle.delta_order)
+          << "arity " << arity << " spj " << spj;
+      for (const Tuple& t : oracle.delta_order) {
+        derived.Insert(t);
+        oracle.derived.insert(t);
+      }
+      delta_new.Clear();
+      oracle.delta.clear();
+      oracle.delta_order.clear();
+    }
+    EXPECT_EQ(derived.size(), oracle.derived.size()) << "arity " << arity;
+    const std::vector<Tuple> expected(oracle.derived.begin(),
+                                      oracle.derived.end());
+    EXPECT_EQ(derived.SortedRows(), expected) << "arity " << arity;
+  }
+}
+
+TEST(EmitWindowTest, DuplicateInsideOneWindowInsertsOnce) {
+  Relation derived("D", 2);
+  Relation delta_new("N", 2);
+  derived.Insert({9, 9});
+  EmitWindow window;
+  window.Bind(&derived, &delta_new);
+  for (const Tuple& t : std::vector<Tuple>{
+           {1, 2}, {1, 2}, {9, 9}, {3, 4}, {1, 2}, {3, 4}}) {
+    window.Emit(t);
+  }
+  EXPECT_EQ(window.Flush(), 2u);
+  EXPECT_EQ(RowsInOrder(delta_new), (std::vector<Tuple>{{1, 2}, {3, 4}}));
+}
+
+TEST(EmitWindowTest, PartialWindowIsInvisibleUntilFlush) {
+  Relation delta_new("N", 1);
+  EmitWindow window;
+  window.Bind(nullptr, &delta_new);
+  for (Value v = 0; v < 5; ++v) window.Emit(Tuple{v});
+  EXPECT_EQ(delta_new.size(), 0u);
+  EXPECT_EQ(window.Flush(), 5u);
+  EXPECT_EQ(delta_new.size(), 5u);
+  // The count restarts: a second flush reports only its own inserts.
+  window.Emit(Tuple{4});
+  window.Emit(Tuple{5});
+  EXPECT_EQ(window.Flush(), 1u);
+}
+
+TEST(EmitWindowTest, FullWindowsFlushAsTheyFill) {
+  Relation delta_new("N", 1);
+  EmitWindow window;
+  window.Bind(nullptr, &delta_new);
+  for (Value v = 0; v < static_cast<Value>(EmitWindow::kWindow) + 1; ++v) {
+    window.Emit(Tuple{v});
+  }
+  // The first window went out when the (kWindow + 1)-th tuple arrived.
+  EXPECT_EQ(delta_new.size(), EmitWindow::kWindow);
+  EXPECT_EQ(window.Flush(), EmitWindow::kWindow + 1);
+}
+
+TEST(EmitWindowTest, StagedBindingFiltersDerivedAndDeltaNew) {
+  Relation derived("D", 2);
+  Relation delta_new("N", 2);
+  derived.Insert({1, 1});
+  delta_new.Insert({2, 2});
+  StagingBuffer staging;
+  staging.Reset(2);
+  EmitWindow window;
+  window.BindStaged(derived, delta_new, &staging);
+  for (const Tuple& t : std::vector<Tuple>{
+           {1, 1}, {3, 3}, {2, 2}, {3, 3}, {4, 4}}) {
+    window.Emit(t);
+  }
+  EXPECT_EQ(window.Flush(), 2u);
+  ASSERT_EQ(staging.NumRows(), 2u);
+  EXPECT_EQ(staging.View(0), TupleView(Tuple{3, 3}));
+  EXPECT_EQ(staging.View(1), TupleView(Tuple{4, 4}));
+  // The merge runs the same kernel over the staged rows.
+  derived.Insert({4, 4});
+  EXPECT_EQ(delta_new.InsertStaged(staging, &derived), 1u);
+  EXPECT_EQ(RowsInOrder(delta_new), (std::vector<Tuple>{{2, 2}, {3, 3}}));
+}
+
+TEST(DedupTableTest, EqualTagsFallBackToTheRowCompare) {
+  // Every hash identical: one probe chain, one tag, so only the caller's
+  // row compare tells the rows apart.
+  DedupTable table;
+  const uint64_t hash = 0x1234567890abcdefULL;
+  std::vector<Value> rows;
+  auto equals_to = [&](Value v) {
+    return [&rows, v](uint32_t row) { return rows[row] == v; };
+  };
+  for (Value v = 0; v < 10; ++v) {
+    ASSERT_FALSE(table.NeedsGrowth(rows.size()));
+    ASSERT_TRUE(table.Insert(hash, static_cast<uint32_t>(rows.size()),
+                             equals_to(v)));
+    rows.push_back(v);
+  }
+  for (Value v = 0; v < 10; ++v) {
+    EXPECT_FALSE(table.Insert(hash, 99, equals_to(v)));
+    EXPECT_EQ(table.Find(hash, equals_to(v)), static_cast<uint32_t>(v));
+  }
+  EXPECT_EQ(table.Find(hash, equals_to(10)), DedupTable::kEmpty);
+  table.Clear();
+  EXPECT_EQ(table.Find(hash, equals_to(0)), DedupTable::kEmpty);
+}
+
+TEST(DedupTableTest, FindRowAcrossGrowthClearAndLoadContents) {
+  Relation rel("R", 3);
+  constexpr Value kRows = 5000;  // Crosses nine doublings from 16 slots.
+  for (Value i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(rel.Insert({i, -i, i * i}));
+    // The newest row and an early one stay findable at every size.
+    ASSERT_EQ(rel.FindRow(Tuple{i, -i, i * i}), static_cast<RowId>(i));
+    ASSERT_EQ(rel.FindRow(Tuple{0, 0, 0}), 0u);
+  }
+  EXPECT_EQ(rel.FindRow(Tuple{1, 1, 1}), Relation::kNoRow);
+
+  // A snapshot-style reload rebuilds the tagged table from the arena.
+  Relation loaded("R", 3);
+  loaded.LoadContents(rel.arena(), rel.NumRows(), rel.NumRows());
+  for (Value i = 0; i < kRows; i += 7) {
+    EXPECT_EQ(loaded.FindRow(Tuple{i, -i, i * i}), static_cast<RowId>(i));
+  }
+  EXPECT_FALSE(loaded.Insert({5, -5, 25}));
+  EXPECT_TRUE(loaded.Insert({5, 5, 5}));
+  EXPECT_EQ(loaded.FindRow(Tuple{5, 5, 5}), static_cast<RowId>(kRows));
+
+  // Clear keeps the table's size but forgets every row.
+  rel.Clear();
+  EXPECT_EQ(rel.FindRow(Tuple{0, 0, 0}), Relation::kNoRow);
+  EXPECT_TRUE(rel.Insert({7, -7, 49}));
+  EXPECT_EQ(rel.FindRow(Tuple{7, -7, 49}), 0u);
+}
+
+TEST(DatabaseSetTest, ReassertedDerivedRowBecomesEdb) {
+  DatabaseSet db;
+  const RelationId r = db.AddRelation("R", 2);
+  for (Value i = 0; i < 100; ++i) db.Get(r, DbKind::kDerived).Insert({i, i});
+  // Already present as a derived row: not new, but registered as EDB, so
+  // it survives the stratum-recompute reset; the other rows do not.
+  EXPECT_FALSE(db.InsertFact(r, {42, 42}));
+  EXPECT_TRUE(db.InsertFact(r, {42, 43}));
+  db.ResetToEdbFacts(r);
+  EXPECT_EQ(RowsInOrder(db.Get(r, DbKind::kDerived)),
+            (std::vector<Tuple>{{42, 42}, {42, 43}}));
 }
 
 }  // namespace
