@@ -20,9 +20,7 @@ void RunBytecode(const BytecodeProgram& program, ir::ExecContext& ctx,
   auto pred = [](const Insn& insn) {
     return static_cast<datalog::PredicateId>(insn.b);
   };
-  auto kind = [](const Insn& insn) {
-    return static_cast<storage::DbKind>(insn.c);
-  };
+  auto source = [](const Insn& insn) { return static_cast<uint32_t>(insn.c); };
 
   size_t pc = 0;
   for (;;) {
@@ -33,19 +31,19 @@ void RunBytecode(const BytecodeProgram& program, ir::ExecContext& ctx,
         ++pc;
         break;
       case Insn::Op::kScanOpen:
-        rt.ScanOpen(insn.a, pred(insn), kind(insn));
+        rt.ScanOpen(insn.a, pred(insn), source(insn));
         ++pc;
         break;
       case Insn::Op::kProbeOpenConst:
-        rt.ProbeOpen(insn.a, pred(insn), kind(insn), insn.d, insn.imm);
+        rt.ProbeOpen(insn.a, pred(insn), source(insn), insn.d, insn.imm);
         ++pc;
         break;
       case Insn::Op::kProbeOpenReg:
-        rt.ProbeOpen(insn.a, pred(insn), kind(insn), insn.d, regs[insn.e]);
+        rt.ProbeOpen(insn.a, pred(insn), source(insn), insn.d, regs[insn.e]);
         ++pc;
         break;
       case Insn::Op::kRangeOpen:
-        rt.RangeOpen(insn.a, pred(insn), kind(insn), insn.d, regs[insn.e],
+        rt.RangeOpen(insn.a, pred(insn), source(insn), insn.d, regs[insn.e],
                      regs[insn.f], insn.g);
         ++pc;
         break;

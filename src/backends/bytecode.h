@@ -1,6 +1,7 @@
 #ifndef CARAC_BACKENDS_BYTECODE_H_
 #define CARAC_BACKENDS_BYTECODE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -25,7 +26,7 @@ namespace carac::backends {
 struct Insn {
   enum class Op : uint8_t {
     kLoadImm,         // regs[a] = imm
-    kScanOpen,        // iters[a] = scan(pred b, db c)
+    kScanOpen,        // iters[a] = scan(pred b, db c) (c: see SourceOperand)
     kProbeOpenConst,  // iters[a] = probe(pred b, db c, col d, imm)
     kProbeOpenReg,    // iters[a] = probe(pred b, db c, col d, regs[e])
     kRangeOpen,       // iters[a] = range(pred b, db c, col d,
@@ -57,6 +58,15 @@ struct Insn {
   int32_t a = 0, b = 0, c = 0, d = 0, e = 0, f = 0, g = 0;
   int64_t imm = 0;
 };
+
+/// The opens' `c` operand: the atom's DbKind, with kOldOnlyBit set when the
+/// atom is old-only (ir::AtomSpec::old_only). BytecodeRuntime decodes it,
+/// so both targets carry the flag through the same literal.
+inline constexpr uint32_t kOldOnlyBit = 0x100;
+inline int32_t SourceOperand(const ir::AtomSpec& atom) {
+  return static_cast<int32_t>(static_cast<uint32_t>(atom.source) |
+                              (atom.old_only ? kOldOnlyBit : 0u));
+}
 
 /// A row template used by kNotContains / kEmit: each column is a register.
 struct TupleDesc {
@@ -91,17 +101,26 @@ struct BytecodeProgram {
 /// them, register operands already read.
 class BytecodeRuntime {
  public:
-  /// One iterator slot: either a whole-relation arena scan (dense RowId
-  /// cursor) or an index-probe result (RowId cursor). `current` points
-  /// at the row-major values of the current row inside the relation's
-  /// arena.
+  /// One iterator slot: either an arena scan (dense RowId cursor) or an
+  /// index-probe result (RowId cursor), each ending at `end`: the scan's
+  /// RowId bound, or the length of the bucket's prefix below the open's
+  /// row limit (the memo keeps the whole bucket, so each open cuts it).
+  /// `current` points at the row-major values of the current row inside
+  /// the relation's arena.
   struct Iter {
     const storage::Relation* rel = nullptr;
     bool probe = false;
     storage::RowCursor bucket;
     size_t bucket_pos = 0;
     storage::RowId row = 0;
+    size_t end = 0;
     const storage::Value* current = nullptr;
+    // Old-row limit of the last old-only open (DatabaseSet::OldRowLimit),
+    // reused while the mutation generation holds: Derived and DeltaKnown
+    // only change where the generation moves.
+    const storage::Relation* limit_rel = nullptr;
+    uint64_t limit_gen = 0;
+    storage::RowId limit = storage::kAllRows;
     // Probe memo: an inner iterator slot typically re-opens with the same
     // (relation, column, key) once per outer row — always for const keys,
     // and for runs of equal outer join keys otherwise. The cursor from
@@ -129,26 +148,36 @@ class BytecodeRuntime {
     // memo miss pays one pointer increment on top of the probe itself.
     ir::ColumnProbeStats* probe_stats = nullptr;
 
-    void OpenScan(const storage::Relation* relation) {
+    void OpenScan(const storage::Relation* relation,
+                  storage::RowId row_limit) {
       rel = relation;
       probe = false;
       row = 0;
+      end = std::min<size_t>(relation->NumRows(), row_limit);
+      current = nullptr;
+    }
+
+    /// Positions the slot at the start of `bucket` cut at `row_limit`.
+    void StartBucket(storage::RowId row_limit) {
+      probe = true;
+      bucket_pos = 0;
+      end = bucket.Below(row_limit).size();
       current = nullptr;
     }
 
     void OpenProbe(const storage::Relation* relation, size_t col,
-                   storage::Value value, uint64_t gen, bool memoizable,
-                   datalog::PredicateId pred, ir::AccessProfiler* profiler) {
+                   storage::Value value, storage::RowId row_limit,
+                   uint64_t gen, bool memoizable, datalog::PredicateId pred,
+                   ir::AccessProfiler* profiler) {
       if (!relation->HasIndex(col)) {
         // No index (unindexed configuration): degrade to a scan; the
         // CHECK instructions emitted alongside the probe still filter
         // correctly because the compiler always re-checks the probed
         // column.
-        OpenScan(relation);
+        OpenScan(relation, row_limit);
         return;
       }
       rel = relation;
-      probe = true;
       if (!(memo_valid && !memo_is_range && memo_rel == relation &&
             memo_col == col && memo_key == value && memo_gen == gen)) {
         if (probe_stats == nullptr || memo_rel != relation ||
@@ -163,19 +192,19 @@ class BytecodeRuntime {
         memo_is_range = false;
         memo_valid = memoizable;
       }
-      bucket_pos = 0;
-      current = nullptr;
+      StartBucket(row_limit);
     }
 
     void OpenRange(const storage::Relation* relation, size_t col,
                    storage::Value lo, bool lo_strict, storage::Value hi,
-                   bool hi_strict, uint64_t gen, bool memoizable,
-                   datalog::PredicateId pred, ir::AccessProfiler* profiler) {
+                   bool hi_strict, storage::RowId row_limit, uint64_t gen,
+                   bool memoizable, datalog::PredicateId pred,
+                   ir::AccessProfiler* profiler) {
       if (!relation->HasIndex(col)) {
         // Unindexed configuration: degrade to a scan. The kCompare
         // residuals the compiler always emits behind the loop keep it
         // correct.
-        OpenScan(relation);
+        OpenScan(relation, row_limit);
         return;
       }
       ir::ResolvedRange range;
@@ -190,14 +219,12 @@ class BytecodeRuntime {
           memo_col == col && memo_lo == range.lo && memo_hi == range.hi &&
           memo_gen == gen) {
         if (memo_declined) {
-          OpenScan(relation);
+          OpenScan(relation, row_limit);
           return;
         }
         rel = relation;
-        probe = true;
         bucket = storage::RowCursor(range_rows.data(), range_rows.size());
-        bucket_pos = 0;
-        current = nullptr;
+        StartBucket(row_limit);
         return;
       }
       if (probe_stats == nullptr || memo_rel != relation || memo_col != col) {
@@ -214,23 +241,21 @@ class BytecodeRuntime {
       memo_declined = !taken;
       memo_valid = memoizable;
       if (!taken) {
-        OpenScan(relation);
+        OpenScan(relation, row_limit);
         return;
       }
       rel = relation;
-      probe = true;
       bucket = storage::RowCursor(range_rows.data(), range_rows.size());
-      bucket_pos = 0;
-      current = nullptr;
+      StartBucket(row_limit);
     }
 
     bool Next() {
       if (probe) {
-        if (bucket_pos >= bucket.size()) return false;
+        if (bucket_pos >= end) return false;
         current = rel->RowData(bucket[bucket_pos++]);
         return true;
       }
-      if (row >= rel->NumRows()) return false;
+      if (row >= end) return false;
       current = rel->RowData(row++);
       return true;
     }
@@ -248,23 +273,30 @@ class BytecodeRuntime {
   /// lifetime, so a caller may hold the pointer across instructions.
   Iter* iters() { return iters_.data(); }
 
-  // The opens of slot `iter` over relation (pred, db): kScanOpen,
-  // kProbeOpenConst / kProbeOpenReg (`key` on `col`) and kRangeOpen
-  // ([lo, hi] on `col`; `strict` bit 0 / 1: lo / hi strict).
-  void ScanOpen(size_t iter, datalog::PredicateId pred, storage::DbKind db) {
-    iters_[iter].OpenScan(&db_.Get(pred, db));
+  // The opens of slot `iter` over relation (pred, source), `source`
+  // being the SourceOperand: kScanOpen, kProbeOpenConst / kProbeOpenReg
+  // (`key` on `col`) and kRangeOpen ([lo, hi] on `col`; `strict` bit 0 /
+  // 1: lo / hi strict).
+  void ScanOpen(size_t iter, datalog::PredicateId pred, uint32_t source) {
+    Iter& it = iters_[iter];
+    const storage::Relation* rel = Source(pred, source);
+    it.OpenScan(rel, RowLimit(&it, pred, source, rel));
   }
-  void ProbeOpen(size_t iter, datalog::PredicateId pred, storage::DbKind db,
+  void ProbeOpen(size_t iter, datalog::PredicateId pred, uint32_t source,
                  size_t col, storage::Value key) {
-    iters_[iter].OpenProbe(&db_.Get(pred, db), col, key, probe_gen_,
-                           Memoizable(db), pred, &ctx_.profiler());
+    Iter& it = iters_[iter];
+    const storage::Relation* rel = Source(pred, source);
+    it.OpenProbe(rel, col, key, RowLimit(&it, pred, source, rel), probe_gen_,
+                 Memoizable(source), pred, &ctx_.profiler());
   }
-  void RangeOpen(size_t iter, datalog::PredicateId pred, storage::DbKind db,
+  void RangeOpen(size_t iter, datalog::PredicateId pred, uint32_t source,
                  size_t col, storage::Value lo, storage::Value hi,
                  uint32_t strict) {
-    iters_[iter].OpenRange(&db_.Get(pred, db), col, lo, (strict & 1) != 0,
-                           hi, (strict & 2) != 0, probe_gen_, Memoizable(db),
-                           pred, &ctx_.profiler());
+    Iter& it = iters_[iter];
+    const storage::Relation* rel = Source(pred, source);
+    it.OpenRange(rel, col, lo, (strict & 1) != 0, hi, (strict & 2) != 0,
+                 RowLimit(&it, pred, source, rel), probe_gen_,
+                 Memoizable(source), pred, &ctx_.profiler());
   }
 
   /// kNext: advances slot `iter`; its new current row, null when
@@ -315,9 +347,26 @@ class BytecodeRuntime {
   }
 
  private:
+  const storage::Relation* Source(datalog::PredicateId pred, uint32_t source) {
+    return &db_.Get(pred, static_cast<storage::DbKind>(source & ~kOldOnlyBit));
+  }
+
+  /// The open's RowId limit: kAllRows unless `source` is old-only.
+  storage::RowId RowLimit(Iter* it, datalog::PredicateId pred,
+                          uint32_t source, const storage::Relation* rel) {
+    if ((source & kOldOnlyBit) == 0) return storage::kAllRows;
+    if (it->limit_rel != rel || it->limit_gen != probe_gen_) {
+      it->limit = db_.OldRowLimit(pred);
+      it->limit_rel = rel;
+      it->limit_gen = probe_gen_;
+    }
+    return it->limit;
+  }
+
   // Emits only touch DeltaNew, so only probes of the other stores memoize.
-  static bool Memoizable(storage::DbKind db) {
-    return db != storage::DbKind::kDeltaNew;
+  static bool Memoizable(uint32_t source) {
+    return static_cast<storage::DbKind>(source & ~kOldOnlyBit) !=
+           storage::DbKind::kDeltaNew;
   }
 
   const BytecodeProgram& program_;

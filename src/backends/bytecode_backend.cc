@@ -247,7 +247,7 @@ class Compiler {
       Insn open{.op = Insn::Op::kRangeOpen};
       open.a = iter;
       open.b = static_cast<int32_t>(atom.predicate);
-      open.c = static_cast<int32_t>(atom.source);
+      open.c = SourceOperand(atom);
       open.d = atom.range_col;
       open.e = BoundReg(s, atom.lower,
                         std::numeric_limits<int64_t>::min());
@@ -260,7 +260,7 @@ class Compiler {
       Insn open{.op = Insn::Op::kScanOpen};
       open.a = iter;
       open.b = static_cast<int32_t>(atom.predicate);
-      open.c = static_cast<int32_t>(atom.source);
+      open.c = SourceOperand(atom);
       Emit(open);
     } else {
       const LocalTerm& key = atom.terms[probe_col];
@@ -268,7 +268,7 @@ class Compiler {
                                  : Insn::Op::kProbeOpenConst};
       open.a = iter;
       open.b = static_cast<int32_t>(atom.predicate);
-      open.c = static_cast<int32_t>(atom.source);
+      open.c = SourceOperand(atom);
       open.d = probe_col;
       if (key.is_var) {
         open.e = key.var;

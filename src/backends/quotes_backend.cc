@@ -51,19 +51,17 @@ constexpr CaracQuotesApi kThunks = {
     .rt = nullptr,
     .scan_open =
         [](void* rt, uint32_t iter, uint32_t pred, uint32_t db) {
-          Runtime(rt).ScanOpen(iter, pred, static_cast<storage::DbKind>(db));
+          Runtime(rt).ScanOpen(iter, pred, db);
         },
     .probe_open =
         [](void* rt, uint32_t iter, uint32_t pred, uint32_t db, uint32_t col,
            int64_t key) {
-          Runtime(rt).ProbeOpen(iter, pred, static_cast<storage::DbKind>(db),
-                                col, key);
+          Runtime(rt).ProbeOpen(iter, pred, db, col, key);
         },
     .range_open =
         [](void* rt, uint32_t iter, uint32_t pred, uint32_t db, uint32_t col,
            uint32_t strict, int64_t lo, int64_t hi) {
-          Runtime(rt).RangeOpen(iter, pred, static_cast<storage::DbKind>(db),
-                                col, lo, hi, strict);
+          Runtime(rt).RangeOpen(iter, pred, db, col, lo, hi, strict);
         },
     .next = [](void* rt, uint32_t iter) { return Runtime(rt).Next(iter); },
     .contains =

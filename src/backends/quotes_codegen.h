@@ -20,12 +20,12 @@ namespace carac::backends {
 /// The C ABI between generated code and the engine: one callback per
 /// storage instruction of the BytecodeProgram the source was printed
 /// from, taking the instruction's static operands as literals (iterator
-/// slot, predicate, DbKind, column, relation-set or call-node index) and
-/// its register operands as values. Each runs the BytecodeRuntime method
-/// RunBytecode's switch runs. `next` returns the slot's new current row
-/// (null when exhausted); `contains` takes the tuple as a row of `n`
-/// values (null when n is 0); `emit` returns the space the head tuple's
-/// values are written to.
+/// slot, predicate, SourceOperand or DbKind, column, relation-set or
+/// call-node index) and its register operands as values. Each runs the
+/// BytecodeRuntime method RunBytecode's switch runs. `next` returns the
+/// slot's new current row (null when exhausted); `contains` takes the
+/// tuple as a row of `n` values (null when n is 0); `emit` returns the
+/// space the head tuple's values are written to.
 CARAC_QUOTES_ABI(struct CaracQuotesApi {
   void* rt;
   void (*scan_open)(void* rt, uint32_t iter, uint32_t pred, uint32_t db);

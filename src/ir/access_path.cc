@@ -102,13 +102,15 @@ bool ProbeRange(const storage::Relation& rel, size_t col,
   return true;
 }
 
-AccessPath AccessPath::Resolve(const storage::Relation& rel,
+AccessPath AccessPath::Resolve(const storage::DatabaseSet& db,
                                const AtomSpec& atom,
                                const std::vector<bool>& bound_before,
                                AccessProfiler* profiler) {
+  const storage::Relation& rel = db.Get(atom.predicate, atom.source);
   AccessPath path;
   path.rel_ = &rel;
   path.atom_ = &atom;
+  if (atom.old_only) path.row_limit_ = db.OldRowLimit(atom.predicate);
   const int32_t probe_col = FirstProbeColumn(
       atom, [&](LocalVar v) { return bound_before[v]; },
       [&](size_t col) { return rel.HasIndex(col); });
@@ -135,6 +137,8 @@ void AccessPath::OpenBatch(const Value* keys, size_t n,
   stats_->batch_windows++;
   stats_->point_probes += n;
   for (size_t k = 0; k < n; ++k) stats_->point_hits += !cursors[k].empty();
+  if (row_limit_ == storage::kAllRows) return;
+  for (size_t k = 0; k < n; ++k) cursors[k] = cursors[k].Below(row_limit_);
 }
 
 }  // namespace carac::ir

@@ -7,6 +7,7 @@
 
 #include "ir/exec_context.h"
 #include "ir/irop.h"
+#include "storage/database.h"
 #include "storage/relation.h"
 
 namespace carac::ir {
@@ -157,18 +158,23 @@ bool ProbeRange(const storage::Relation& rel, size_t col,
 /// The row sequence an AccessPath opens, in ascending RowId order:
 /// positions [0, size()) map to RowIds either densely (a scan: position
 /// == RowId) or through a cursor (a point-probe bucket or a range-probe
-/// row list). Sharding windows index positions, so every shard of one
-/// open sees the same sequence.
+/// row list). Both forms take a RowId upper limit (an old-only atom's
+/// DatabaseSet::OldRowLimit): ascending order makes the rows below it a
+/// prefix, so the sequence is simply shorter. Sharding windows index
+/// positions, so every shard of one open sees the same sequence.
 class RowSeq {
  public:
-  static RowSeq Dense(size_t num_rows) {
+  static RowSeq Dense(size_t num_rows,
+                      storage::RowId limit = storage::kAllRows) {
     RowSeq seq;
-    seq.size_ = num_rows;
+    seq.size_ = std::min<size_t>(num_rows, limit);
     seq.dense_ = true;
     return seq;
   }
-  explicit RowSeq(storage::RowCursor rows)
-      : rows_(rows), size_(rows.size()), dense_(false) {}
+  RowSeq(storage::RowCursor rows, storage::RowId limit)
+      : rows_(rows.Below(limit)),
+        size_(rows_.size()),
+        dense_(false) {}
 
   size_t size() const { return size_; }
   storage::RowId operator[](size_t pos) const {
@@ -205,24 +211,29 @@ class RowSeq {
 /// plan-build time: a point probe on an indexed column keyed by a
 /// constant or an already-bound variable, a range probe over the atom's
 /// pushed-down bounds, or a full scan. Carries the (predicate, column)
-/// counter slot, so opening it is the only place probes are profiled.
+/// counter slot, so opening it is the only place probes are profiled,
+/// and the atom's RowId limit, so it is the only place an old-only atom
+/// (AtomSpec::old_only) is bounded.
 class AccessPath {
  public:
   enum class Kind : uint8_t { kScan, kPoint, kRange };
 
   AccessPath() = default;
 
-  /// Resolves `atom`'s access to `rel` given the variables bound before
-  /// it runs: a point probe on FirstProbeColumn when there is one (a
-  /// point probe always beats a range); otherwise a range probe when the
-  /// atom carries annotated bounds on an indexed column; otherwise a
-  /// scan. Counters go to `profiler` (the context's, or a shard's).
-  static AccessPath Resolve(const storage::Relation& rel,
+  /// Resolves `atom`'s access to its relation in `db` given the variables
+  /// bound before it runs: a point probe on FirstProbeColumn when there
+  /// is one (a point probe always beats a range); otherwise a range probe
+  /// when the atom carries annotated bounds on an indexed column;
+  /// otherwise a scan. An old-only atom takes db.OldRowLimit once here,
+  /// and every sequence and batch the path opens stops below it. Counters
+  /// go to `profiler` (the context's, or a shard's).
+  static AccessPath Resolve(const storage::DatabaseSet& db,
                             const AtomSpec& atom,
                             const std::vector<bool>& bound_before,
                             AccessProfiler* profiler);
 
   Kind kind() const { return kind_; }
+  const storage::Relation& rel() const { return *rel_; }
   /// Point paths keyed by a variable bound earlier in the join (the
   /// shape batched probing accelerates), rather than by a constant.
   bool key_is_var() const { return key_var_ >= 0; }
@@ -244,8 +255,9 @@ class AccessPath {
   }
 
   /// Resolves a window of point-probe keys in one BatchProbe call
-  /// (requires kind() == kPoint): cursors[k] holds keys[k]'s bucket.
-  /// Records point_probes, point_hits and batch_windows.
+  /// (requires kind() == kPoint): cursors[k] holds keys[k]'s bucket, cut
+  /// at the row limit. Records point_probes, point_hits and
+  /// batch_windows.
   void OpenBatch(const storage::Value* keys, size_t n,
                  storage::RowCursor* cursors) const;
 
@@ -256,22 +268,25 @@ class AccessPath {
       case Kind::kPoint:
         return RowSeq(ProbePoint(*rel_, col_,
                                  key_var_ >= 0 ? binding[key_var_] : key_const_,
-                                 stats));
+                                 stats),
+                      row_limit_);
       case Kind::kRange:
         if (ProbeRange(*rel_, col_, ResolveRange(*atom_, binding), stats,
                           &range_rows_)) {
           return RowSeq(
-              storage::RowCursor(range_rows_.data(), range_rows_.size()));
+              storage::RowCursor(range_rows_.data(), range_rows_.size()),
+              row_limit_);
         }
         break;
       case Kind::kScan:
         break;
     }
-    return RowSeq::Dense(rel_->NumRows());
+    return RowSeq::Dense(rel_->NumRows(), row_limit_);
   }
 
   const storage::Relation* rel_ = nullptr;
   const AtomSpec* atom_ = nullptr;
+  storage::RowId row_limit_ = storage::kAllRows;
   Kind kind_ = Kind::kScan;
   size_t col_ = 0;
   LocalVar key_var_ = -1;

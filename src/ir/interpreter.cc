@@ -132,13 +132,14 @@ class SubqueryRun {
         plan_.push_back(std::move(p));
         continue;
       }
-      p.rel = &ctx_.db().Get(atom.predicate, atom.source);
       if (atom.negated) {
         // Membership test: every term must be resolvable; no binds.
+        p.rel = &ctx_.db().Get(atom.predicate, atom.source);
         plan_.push_back(std::move(p));
         continue;
       }
-      p.access = AccessPath::Resolve(*p.rel, atom, bound, profiler_);
+      p.access = AccessPath::Resolve(ctx_.db(), atom, bound, profiler_);
+      p.rel = &p.access.rel();
       p.actions = BuildColActions(atom, bound);
       plan_.push_back(std::move(p));
     }

@@ -47,6 +47,12 @@ struct AtomSpec {
   datalog::PredicateId predicate = datalog::kInvalidPredicate;
   storage::DbKind source = storage::DbKind::kDerived;
   bool negated = false;
+  /// Semi-naive "each derivation once": a Derived join atom that comes
+  /// before its variant's DeltaKnown atom in rule order reads only the
+  /// rows that were in Derived before the last merge — the RowIds below
+  /// DatabaseSet::OldRowLimit. A derivation whose delta rows sit at
+  /// several atoms is then emitted only by the variant of the first one.
+  bool old_only = false;
   std::vector<LocalTerm> terms;
 
   /// Range pushdown (see ir::AnnotateRangeBounds): when >= 0, column

@@ -228,6 +228,15 @@ namespace {
 /// in rule order, that shares a variable with those bound before it, so
 /// it runs as an index probe keyed by the delta row rather than a scan.
 /// Only a body that is itself disconnected keeps a Cartesian step.
+///
+/// Every eligible join atom before the delta position (in rule order, so
+/// the flag is set before the update-mode reorder) is old-only: it reads
+/// the Derived rows that predate the current DeltaKnown. Variants run in
+/// delta-position order, so a derivation with delta rows at several atoms
+/// is emitted by the variant of the first one only. In-loop, only
+/// same-stratum atoms qualify: a lower stratum without recursion keeps
+/// its init-pass rows in DeltaKnown, which are not new to this stratum.
+/// In an update epoch every input's DeltaKnown is its watermark tail.
 std::unique_ptr<IROp> BuildSubquery(LoweringState* state,
                                     const datalog::Rule& rule,
                                     uint32_t rule_index, int32_t delta_pos,
@@ -249,10 +258,11 @@ std::unique_ptr<IROp> BuildSubquery(LoweringState* state,
     if (spec.is_join_atom()) {
       const bool same_stratum =
           stratum_of[atom.predicate] == stratum && stratum >= 0;
-      const bool is_delta = join_idx == delta_pos &&
-                            (update_mode || same_stratum);
+      const bool delta_eligible = update_mode || same_stratum;
+      const bool is_delta = join_idx == delta_pos && delta_eligible;
       spec.source = is_delta ? storage::DbKind::kDeltaKnown
                              : storage::DbKind::kDerived;
+      spec.old_only = join_idx < delta_pos && delta_eligible;
       joins.push_back(std::move(spec));
       ++join_idx;
     } else {

@@ -54,9 +54,9 @@ class ScanSource : public RowSource {
  public:
   // Marks the atom's variables in `bound`. The path resolves against the
   // variables bound before the atom: path_ is declared before actions_.
-  ScanSource(const Relation* rel, const AtomSpec* atom,
+  ScanSource(const storage::DatabaseSet& db, const AtomSpec* atom,
              std::vector<bool>& bound, AccessProfiler* profiler)
-      : rel_(rel), path_(AccessPath::Resolve(*rel, *atom, bound, profiler)),
+      : path_(AccessPath::Resolve(db, *atom, bound, profiler)),
         actions_(BuildColActions(*atom, bound)) {}
 
   void RestrictOuter(size_t begin, size_t end) override {
@@ -79,7 +79,7 @@ class ScanSource : public RowSource {
 
   bool Next(std::vector<Value>& binding) override {
     while (pos_ < limit_) {
-      if (ApplyColActions(actions_, rel_->View(rows_[pos_++]),
+      if (ApplyColActions(actions_, path_.rel().View(rows_[pos_++]),
                           binding.data())) {
         return true;
       }
@@ -88,7 +88,6 @@ class ScanSource : public RowSource {
   }
 
  private:
-  const Relation* rel_;
   AccessPath path_;
   std::vector<ColAction> actions_;
   RowSeq rows_ = RowSeq::Dense(0);
@@ -166,14 +165,14 @@ class NegationSource : public RowSource {
 /// with batching on or off.
 class BatchedJoinSource final : public RowSource {
  public:
-  BatchedJoinSource(const Relation* outer_rel, const AtomSpec* outer_atom,
-                    const Relation* inner_rel, const AtomSpec* inner_atom,
+  BatchedJoinSource(const storage::DatabaseSet& db,
+                    const AtomSpec* outer_atom, const AtomSpec* inner_atom,
                     std::vector<bool>& bound, size_t window,
                     AccessProfiler* profiler)
-      : outer_rel_(outer_rel), inner_rel_(inner_rel), window_(window) {
-    outer_path_ = AccessPath::Resolve(*outer_rel, *outer_atom, bound, profiler);
+      : window_(window) {
+    outer_path_ = AccessPath::Resolve(db, *outer_atom, bound, profiler);
     outer_actions_ = BuildColActions(*outer_atom, bound);
-    inner_path_ = AccessPath::Resolve(*inner_rel, *inner_atom, bound, profiler);
+    inner_path_ = AccessPath::Resolve(db, *inner_atom, bound, profiler);
     inner_actions_ = BuildColActions(*inner_atom, bound);
     // CanFuse gates on a variable-keyed point probe.
     CARAC_CHECK(inner_path_.kind() == AccessPath::Kind::kPoint &&
@@ -205,7 +204,7 @@ class BatchedJoinSource final : public RowSource {
       // Drain the current outer row's pre-resolved inner cursor.
       while (cursor_pos_ < cursor_.size()) {
         const RowId inner_row = cursor_[cursor_pos_++];
-        if (ApplyColActions(inner_actions_, inner_rel_->View(inner_row),
+        if (ApplyColActions(inner_actions_, inner_path_.rel().View(inner_row),
                             values)) {
           return true;
         }
@@ -213,8 +212,8 @@ class BatchedJoinSource final : public RowSource {
       // Advance to the next matched outer row of the window, restoring
       // its binds (its checks passed during the fill pass).
       if (batch_idx_ < batch_rows_.size()) {
-        ApplyColBinds(outer_actions_, outer_rel_->View(batch_rows_[batch_idx_]),
-                      values);
+        ApplyColBinds(outer_actions_,
+                      outer_path_.rel().View(batch_rows_[batch_idx_]), values);
         cursor_ = batch_cursors_[batch_idx_];
         cursor_pos_ = 0;
         ++batch_idx_;
@@ -229,7 +228,8 @@ class BatchedJoinSource final : public RowSource {
       const size_t chunk_end = std::min(pos_ + window_, limit_);
       for (; pos_ < chunk_end; ++pos_) {
         const RowId row = outer_rows_[pos_];
-        if (!ApplyColActions(outer_actions_, outer_rel_->View(row), values)) {
+        if (!ApplyColActions(outer_actions_, outer_path_.rel().View(row),
+                             values)) {
           continue;
         }
         batch_rows_.push_back(row);
@@ -243,8 +243,6 @@ class BatchedJoinSource final : public RowSource {
   }
 
  private:
-  const Relation* outer_rel_;
-  const Relation* inner_rel_;
   AccessPath outer_path_;
   AccessPath inner_path_;
   std::vector<ColAction> outer_actions_;
@@ -299,12 +297,9 @@ std::vector<std::unique_ptr<RowSource>> BuildPipeline(
   std::vector<bool> bound(op.num_locals, false);
   size_t start = 0;
   if (CanFuse(ctx, op)) {
-    const AtomSpec& a0 = op.atoms[0];
-    const AtomSpec& a1 = op.atoms[1];
     pipeline.push_back(std::make_unique<BatchedJoinSource>(
-        &ctx.db().Get(a0.predicate, a0.source), &a0,
-        &ctx.db().Get(a1.predicate, a1.source), &a1, bound,
-        ctx.probe_batch_window(), profiler));
+        ctx.db(), &op.atoms[0], &op.atoms[1], bound, ctx.probe_batch_window(),
+        profiler));
     start = 2;
   }
   for (size_t i = start; i < op.atoms.size(); ++i) {
@@ -322,9 +317,8 @@ std::vector<std::unique_ptr<RowSource>> BuildPipeline(
       pipeline.push_back(std::make_unique<NegationSource>(
           &ctx.db().Get(atom.predicate, atom.source), &atom));
     } else {
-      pipeline.push_back(std::make_unique<ScanSource>(
-          &ctx.db().Get(atom.predicate, atom.source), &atom, bound,
-          profiler));
+      pipeline.push_back(
+          std::make_unique<ScanSource>(ctx.db(), &atom, bound, profiler));
     }
   }
   return pipeline;

@@ -122,7 +122,8 @@ bool ReorderSubquery(const StatsSnapshot& stats, const JoinOrderConfig& config,
       const ir::AtomSpec& a = scheduled[i];
       const ir::AtomSpec& b = op->atoms[i];
       if (a.predicate != b.predicate || a.source != b.source ||
-          a.builtin != b.builtin || a.negated != b.negated) {
+          a.old_only != b.old_only || a.builtin != b.builtin ||
+          a.negated != b.negated) {
         return true;
       }
       if (a.terms.size() != b.terms.size()) return true;

@@ -131,6 +131,18 @@ void DatabaseSet::SwapClearMerge(const std::vector<RelationId>& relations) {
   }
 }
 
+RowId DatabaseSet::OldRowLimit(RelationId id) const {
+  CARAC_CHECK(id < stores_.size());
+  const Store& store = stores_[id];
+  const Relation& derived = *store.derived;
+  const Relation& known = *store.delta_known;
+  if (known.empty()) return derived.NumRows();
+  CARAC_CHECK(known.NumRows() <= derived.NumRows());
+  const RowId limit = derived.NumRows() - known.NumRows();
+  CARAC_CHECK(derived.View(limit) == known.View(0));
+  return limit;
+}
+
 bool DatabaseSet::AnyDeltaKnownNonEmpty(
     const std::vector<RelationId>& relations) const {
   for (RelationId id : relations) {

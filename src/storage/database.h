@@ -89,6 +89,15 @@ class DatabaseSet {
   /// the next iteration DeltaKnown is a subset of Derived.
   void SwapClearMerge(const std::vector<RelationId>& relations);
 
+  /// The RowId bound of `id`'s "old" Derived rows: Derived.NumRows() −
+  /// DeltaKnown.NumRows(). Every DeltaKnown row is the tail of Derived —
+  /// SwapClearMerge appends each one (new to Derived by the emit dedup)
+  /// in DeltaKnown's row order, and SeedDeltaFromWatermark copies the
+  /// rows past the watermark — so the rows below the bound are exactly
+  /// those not in DeltaKnown. CHECKs that invariant once per call, on
+  /// DeltaKnown's first row.
+  RowId OldRowLimit(RelationId id) const;
+
   /// The `diff` termination test: true if any DeltaKnown still has facts.
   bool AnyDeltaKnownNonEmpty(const std::vector<RelationId>& relations) const;
 

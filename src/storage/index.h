@@ -1,9 +1,11 @@
 #ifndef CARAC_STORAGE_INDEX_H_
 #define CARAC_STORAGE_INDEX_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -82,6 +84,10 @@ inline bool IndexKindIsOrdered(IndexKind kind) {
   return kind != IndexKind::kHash;
 }
 
+/// The RowId limit that cuts nothing (RowCursor::Below, and the access
+/// paths of atoms that read every row).
+inline constexpr RowId kAllRows = std::numeric_limits<RowId>::max();
+
 /// The result of one index probe: a lightweight view of the matching
 /// RowIds. Most kinds hand back one contiguous span; kSortedArray hands
 /// back two (stable prefix + fresh tail), which is why this is a
@@ -121,6 +127,24 @@ class RowCursor {
     for (size_t i = 0; i < size1_; ++i) fn(data1_[i]);
   }
 
+  /// The prefix of RowIds below `limit` (ascending order makes it a
+  /// prefix). Free for kAllRows; otherwise one compare when the last
+  /// RowId is already below, else a binary search of the one span the
+  /// limit falls in.
+  RowCursor Below(RowId limit) const {
+    if (limit == kAllRows) return *this;
+    if (size1_ > 0) {
+      if (data1_[size1_ - 1] < limit) return *this;
+      if (data1_[0] < limit) {
+        return RowCursor(data0_, size0_, data1_, SpanBelow(data1_, size1_,
+                                                           limit));
+      }
+    } else if (size0_ == 0 || data0_[size0_ - 1] < limit) {
+      return *this;
+    }
+    return RowCursor(data0_, SpanBelow(data0_, size0_, limit));
+  }
+
   /// Range-for support (cold paths; hot loops use ForEach or the spans).
   class Iterator {
    public:
@@ -143,6 +167,11 @@ class RowCursor {
   Iterator end() const { return Iterator(this, size()); }
 
  private:
+  static size_t SpanBelow(const RowId* data, size_t size, RowId limit) {
+    return static_cast<size_t>(std::lower_bound(data, data + size, limit) -
+                               data);
+  }
+
   const RowId* data0_ = nullptr;
   size_t size0_ = 0;
   const RowId* data1_ = nullptr;

@@ -3,7 +3,7 @@
 // AccessPath unit tests: for every index kind and every path kind, Open()
 // yields a sequence whose filtered rows equal the filtered full scan in
 // ascending RowId order, and Size() decides identically while recording
-// nothing.
+// nothing. An old-only atom sees exactly the rows below OldRowLimit.
 //
 // Profiler parity: the push and pull engines open the same paths, so they
 // must leave identical per-(relation, column) probe counters on the same
@@ -21,6 +21,7 @@
 #include "core/engine.h"
 #include "datalog/dsl.h"
 #include "ir/access_path.h"
+#include "storage/database.h"
 #include "storage/index.h"
 #include "storage/relation.h"
 
@@ -46,6 +47,26 @@ void Fill(Relation* rel, IndexKind kind) {
   rel->DeclareIndex(1, kind);
   for (Value i = 0; i < 200; ++i) rel->Insert({i % 17, i});
 }
+
+/// A DatabaseSet whose relation kPred is R: Fill'ed Derived, and a
+/// DeltaKnown holding Derived's last `delta_rows` rows (the merge's tail
+/// invariant), so OldRowLimit(kPred) == 200 - delta_rows.
+struct FilledDb {
+  storage::DatabaseSet db;
+
+  FilledDb(IndexKind kind, RowId delta_rows) {
+    for (datalog::PredicateId p = 0; p <= kPred; ++p) {
+      db.AddRelation("R" + std::to_string(p), 2);
+    }
+    Fill(&rel(), kind);
+    Relation& known = db.Get(kPred, storage::DbKind::kDeltaKnown);
+    for (RowId row = rel().NumRows() - delta_rows; row < rel().NumRows();
+         ++row) {
+      known.Insert(rel().View(row));
+    }
+  }
+  Relation& rel() { return db.Get(kPred, storage::DbKind::kDerived); }
+};
 
 AtomSpec Atom(LocalTerm k, LocalTerm v) {
   AtomSpec atom;
@@ -98,14 +119,21 @@ struct Expectation {
 };
 
 /// Opens `atom` on a fresh R of `kind` and checks the layer's contract.
-void CheckOpen(IndexKind kind, const AtomSpec& atom,
+/// With `delta_rows` > 0 the atom is opened old-only over a DeltaKnown of
+/// R's last `delta_rows` rows, and must see exactly the rows below them.
+void CheckOpen(IndexKind kind, const AtomSpec& spec,
                const std::vector<bool>& bound, const Value* binding,
-               const Expectation& expect) {
+               const Expectation& expect, RowId delta_rows = 0) {
   SCOPED_TRACE(storage::IndexKindName(kind));
-  Relation rel("R", 2);
-  Fill(&rel, kind);
+  SCOPED_TRACE("delta_rows=" + std::to_string(delta_rows));
+  FilledDb filled(kind, delta_rows);
+  const Relation& rel = filled.rel();
+  AtomSpec atom = spec;
+  atom.old_only = delta_rows > 0;
+  const RowId limit = rel.NumRows() - delta_rows;
+  ASSERT_EQ(filled.db.OldRowLimit(kPred), limit);
   AccessProfiler profiler;
-  AccessPath path = AccessPath::Resolve(rel, atom, bound, &profiler);
+  AccessPath path = AccessPath::Resolve(filled.db, atom, bound, &profiler);
   ASSERT_EQ(path.kind(), expect.kind);
 
   const size_t size = path.Size(binding);
@@ -123,7 +151,7 @@ void CheckOpen(IndexKind kind, const AtomSpec& atom,
     if (Matches(rel, row, atom, bound, binding)) filtered_open.push_back(row);
   }
   std::vector<RowId> filtered_scan;
-  for (RowId row = 0; row < rel.NumRows(); ++row) {
+  for (RowId row = 0; row < limit; ++row) {
     if (Matches(rel, row, atom, bound, binding)) filtered_scan.push_back(row);
   }
   EXPECT_FALSE(filtered_scan.empty());
@@ -131,7 +159,7 @@ void CheckOpen(IndexKind kind, const AtomSpec& atom,
   if (expect.exact) {
     EXPECT_EQ(opened, filtered_scan);
   } else {
-    EXPECT_EQ(opened.size(), rel.NumRows()) << "declined opens as a scan";
+    EXPECT_EQ(opened.size(), limit) << "declined opens as a scan";
   }
 
   // Exactly one probe recorded per Open of a probing path.
@@ -190,43 +218,78 @@ TEST(AccessPathTest, WideRangeDeclinedOnEveryKind) {
   }
 }
 
+TEST(AccessPathTest, OldOnlyAtomsStopBelowTheDelta) {
+  // Cuts near the end, mid-relation and at row 1 (only row 0 is old; the
+  // x = 3 probe then has no old match, which CheckOpen's non-empty oracle
+  // rejects, so that case stops at the mid cut).
+  const std::vector<bool> none(2, false);
+  const std::vector<bool> x_bound = {true, false};
+  const Value zero[2] = {0, 0};
+  const Value x_is_3[2] = {3, 0};
+  for (RowId delta_rows : {1u, 50u, 199u}) {
+    for (IndexKind kind : kAllKinds) {
+      CheckOpen(kind, Atom(LocalTerm::Var(kX), LocalTerm::Var(kY)), none, zero,
+                {AccessPath::Kind::kScan, /*exact=*/true}, delta_rows);
+      CheckOpen(kind, Atom(LocalTerm::Const(0), LocalTerm::Var(kY)), none,
+                zero, {AccessPath::Kind::kPoint, /*exact=*/true}, delta_rows);
+      if (delta_rows < 190) {
+        CheckOpen(kind, Atom(LocalTerm::Var(kX), LocalTerm::Var(kY)),
+                  x_bound, x_is_3, {AccessPath::Kind::kPoint, /*exact=*/true},
+                  delta_rows);
+      }
+      CheckOpen(kind, RangeAtom(0, 30), none, zero,
+                {AccessPath::Kind::kRange,
+                 /*exact=*/storage::IndexKindIsOrdered(kind)},
+                delta_rows);
+    }
+  }
+}
+
 TEST(AccessPathTest, PointProbeBeatsRange) {
-  Relation rel("R", 2);
-  Fill(&rel, IndexKind::kBtree);
+  FilledDb filled(IndexKind::kBtree, 0);
   AccessProfiler profiler;
   AtomSpec atom = RangeAtom(10, 30);
   atom.terms[0] = LocalTerm::Const(4);
-  const AccessPath path =
-      AccessPath::Resolve(rel, atom, std::vector<bool>(2, false), &profiler);
+  const AccessPath path = AccessPath::Resolve(
+      filled.db, atom, std::vector<bool>(2, false), &profiler);
   EXPECT_EQ(path.kind(), AccessPath::Kind::kPoint);
   EXPECT_FALSE(path.key_is_var());
 }
 
 TEST(AccessPathTest, OpenBatchMatchesPointProbesAndRecordsOnce) {
-  for (IndexKind kind : kAllKinds) {
-    SCOPED_TRACE(storage::IndexKindName(kind));
-    Relation rel("R", 2);
-    Fill(&rel, kind);
-    AccessProfiler profiler;
-    const AccessPath path =
-        AccessPath::Resolve(rel, Atom(LocalTerm::Var(kX), LocalTerm::Var(kY)),
-                            {true, false}, &profiler);
-    ASSERT_EQ(path.kind(), AccessPath::Kind::kPoint);
-    ASSERT_TRUE(path.key_is_var());
-    const Value keys[] = {1, 1, 40, 16, 0};
-    storage::RowCursor cursors[5];
-    path.OpenBatch(keys, 5, cursors);
-    for (size_t k = 0; k < 5; ++k) {
-      std::vector<RowId> batched;
-      std::vector<RowId> single;
-      cursors[k].ForEach([&](RowId row) { batched.push_back(row); });
-      rel.Probe(0, keys[k]).ForEach([&](RowId row) { single.push_back(row); });
-      EXPECT_EQ(batched, single) << "key " << keys[k];
+  // With 50 delta rows the atom is old-only: each cursor is the bucket's
+  // prefix below RowId 150, and the counters still record the probes.
+  for (RowId delta_rows : {0u, 50u}) {
+    for (IndexKind kind : kAllKinds) {
+      SCOPED_TRACE(storage::IndexKindName(kind));
+      SCOPED_TRACE("delta_rows=" + std::to_string(delta_rows));
+      FilledDb filled(kind, delta_rows);
+      const Relation& rel = filled.rel();
+      const RowId limit = rel.NumRows() - delta_rows;
+      AtomSpec atom = Atom(LocalTerm::Var(kX), LocalTerm::Var(kY));
+      atom.old_only = delta_rows > 0;
+      AccessProfiler profiler;
+      const AccessPath path =
+          AccessPath::Resolve(filled.db, atom, {true, false}, &profiler);
+      ASSERT_EQ(path.kind(), AccessPath::Kind::kPoint);
+      ASSERT_TRUE(path.key_is_var());
+      const Value keys[] = {1, 1, 40, 16, 0};
+      storage::RowCursor cursors[5];
+      path.OpenBatch(keys, 5, cursors);
+      for (size_t k = 0; k < 5; ++k) {
+        std::vector<RowId> batched;
+        std::vector<RowId> single;
+        cursors[k].ForEach([&](RowId row) { batched.push_back(row); });
+        rel.Probe(0, keys[k]).ForEach([&](RowId row) {
+          if (row < limit) single.push_back(row);
+        });
+        EXPECT_EQ(batched, single) << "key " << keys[k];
+      }
+      const ColumnProbeStats& stats = profiler.counters().at({kPred, 0});
+      EXPECT_EQ(stats.batch_windows, 1u);
+      EXPECT_EQ(stats.point_probes, 5u);
+      EXPECT_EQ(stats.point_hits, 4u);  // Key 40 matches nothing.
     }
-    const ColumnProbeStats& stats = profiler.counters().at({kPred, 0});
-    EXPECT_EQ(stats.batch_windows, 1u);
-    EXPECT_EQ(stats.point_probes, 5u);
-    EXPECT_EQ(stats.point_hits, 4u);  // Key 40 matches nothing.
   }
 }
 

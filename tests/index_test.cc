@@ -131,6 +131,47 @@ TEST(ColumnIndexTest, BatchProbeMatchesPointProbes) {
   }
 }
 
+TEST(ColumnIndexTest, CursorsCutAtARowLimitMatchTheFilter) {
+  // RowCursor::Below relies on every kind returning ascending RowIds: the
+  // rows below a limit are then a prefix. 100 rows, keys row % 5; the
+  // stable prefix ends at row 60, so sorted-array and learned probes are
+  // two-span cursors (span 0 below 60, span 1 the hash tail). The limits
+  // fall inside span 0, at the span boundary, inside span 1, at either
+  // end, and at kAllRows, which cuts nothing.
+  constexpr RowId kRows = 100;
+  constexpr RowId kStable = 60;
+  const RowId limits[] = {0, 1, 30, kStable - 1, kStable, kStable + 1, 80,
+                          kRows - 1, kRows, kAllRows};
+  const Value keys[] = {0, 3, 3, 4, 7, 0, 1, 2};  // 7 matches nothing.
+  constexpr size_t kBatch = sizeof(keys) / sizeof(keys[0]);
+  for (IndexKind kind : kAllKinds) {
+    SCOPED_TRACE(IndexKindName(kind));
+    std::unique_ptr<IndexBase> index = MakeIndex(0, kind);
+    for (RowId row = 0; row < kRows; ++row) index->Add(row, row % 5);
+    index->Stabilize(kStable);
+    if (kind == IndexKind::kSortedArray || kind == IndexKind::kLearned) {
+      const RowCursor two_span = index->Probe(2);
+      ASSERT_EQ(two_span.size0(), kStable / 5);
+      ASSERT_EQ(two_span.size1(), (kRows - kStable) / 5);
+    }
+    std::vector<RowCursor> batch(kBatch);
+    index->BatchProbe(keys, kBatch, batch.data());
+    for (RowId limit : limits) {
+      SCOPED_TRACE("limit=" + std::to_string(limit));
+      for (size_t k = 0; k < kBatch; ++k) {
+        std::vector<RowId> expected;
+        for (RowId row = 0; row < std::min(limit, kRows); ++row) {
+          if (static_cast<Value>(row % 5) == keys[k]) expected.push_back(row);
+        }
+        EXPECT_EQ(Collect(index->Probe(keys[k]).Below(limit)), expected)
+            << "probe key " << keys[k];
+        EXPECT_EQ(Collect(batch[k].Below(limit)), expected)
+            << "batch key " << keys[k];
+      }
+    }
+  }
+}
+
 TEST(ColumnIndexTest, ClearEmptiesEveryKind) {
   for (IndexKind kind : kAllKinds) {
     std::unique_ptr<IndexBase> index = MakeIndex(0, kind);

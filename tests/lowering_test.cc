@@ -227,7 +227,7 @@ TEST(LoweringTest, AndersenUpdateVariantsJoinInConnectedOrder) {
     if (order == analysis::RuleOrder::kHandOptimized) {
       const std::string rendered = OpToString(*irp.update_root, *w.program);
       EXPECT_NE(rendered.find("PointsTo(l0, l3) :- PointsTo@d(l2,l3), "
-                              "PointsTo@*(l1,l2), Load@*(l0,l1)"),
+                              "PointsTo@o(l1,l2), Load@o(l0,l1)"),
                 std::string::npos)
           << rendered;
     }
@@ -259,7 +259,7 @@ TEST(LoweringTest, TcUpdateVariantsKeepTheRotatedOrder) {
             "            SPJOp#22 -> Path(l0, l2) :- Path@d(l0,l1), "
             "Edge@*(l1,l2)\n"
             "            SPJOp#23 -> Path(l0, l2) :- Edge@d(l1,l2), "
-            "Path@*(l0,l1)\n"
+            "Path@o(l0,l1)\n"
             "        SwapClearOp#24 [Edge, Path]\n");
 }
 
@@ -300,12 +300,12 @@ TEST(LoweringTest, FullTreeKeepsTheRuleOrder) {
       "            SPJOp#19 -> PointsTo(l0, l3) :- Load@*(l0,l1), "
       "PointsTo@d(l1,l2), PointsTo@*(l2,l3)\n"
       "            SPJOp#20 -> PointsTo(l0, l3) :- Load@*(l0,l1), "
-      "PointsTo@*(l1,l2), PointsTo@d(l2,l3)\n"
+      "PointsTo@o(l1,l2), PointsTo@d(l2,l3)\n"
       "          UnionOp#21\n"
       "            SPJOp#22 -> PointsTo(l2, l3) :- Store@*(l0,l1), "
       "PointsTo@d(l0,l2), PointsTo@*(l1,l3)\n"
       "            SPJOp#23 -> PointsTo(l2, l3) :- Store@*(l0,l1), "
-      "PointsTo@*(l0,l2), PointsTo@d(l1,l3)\n"
+      "PointsTo@o(l0,l2), PointsTo@d(l1,l3)\n"
       "        SwapClearOp#24 [PointsTo]\n");
 }
 
@@ -341,6 +341,146 @@ TEST(LoweringTest, DisconnectedBodyKeepsDeltaFirstAndEveryAtom) {
   EXPECT_EQ(orders[s.id()], (std::vector<Order>{{a.id(), b.id(), c.id()},
                                                 {b.id(), c.id(), a.id()},
                                                 {c.id(), b.id(), a.id()}}));
+}
+
+// ---- Old-only atoms: each derivation once ----
+
+/// One line per delta variant under `tree`, in execution order: the rule
+/// index, the delta position (rule-order join index) and the variant's
+/// old-only atoms in execution order, e.g. "r2 d2: P(l1,l2) Load(l0,l1)".
+std::string OldOnlyAtoms(IROp* tree, const Program& p) {
+  std::vector<IROp*> spjs;
+  Collect(tree, OpKind::kSpj, &spjs);
+  std::string out;
+  for (const IROp* spj : spjs) {
+    if (spj->delta_pos < 0) continue;
+    out += "r" + std::to_string(spj->rule_index) + " d" +
+           std::to_string(spj->delta_pos) + ":";
+    for (const AtomSpec& atom : spj->atoms) {
+      if (!atom.old_only) continue;
+      EXPECT_EQ(atom.source, storage::DbKind::kDerived);
+      out += " " + p.PredicateName(atom.predicate) + "(";
+      for (size_t t = 0; t < atom.terms.size(); ++t) {
+        if (t > 0) out += ",";
+        out += "l" + std::to_string(atom.terms[t].var);
+      }
+      out += ")";
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(LoweringTest, OldOnlyAtomsPrecedeTheDeltaInRuleOrder) {
+  // Variant d of a rule reads DeltaKnown at join atom d and only the old
+  // Derived rows at the eligible atoms before it, so a derivation whose
+  // delta rows sit at several atoms is emitted once, by the first. In the
+  // full tree's loop only same-stratum atoms are eligible (EDB Load and
+  // Store never are); in the update tree every atom is, and the flag
+  // travels with its atom through the connected reorder.
+  {
+    analysis::SListConfig slist;
+    slist.scale = 1;
+    analysis::Workload w =
+        analysis::MakeAndersen(slist, analysis::RuleOrder::kHandOptimized);
+    IRProgram irp;
+    ASSERT_TRUE(LowerProgram(w.program.get(), true, &irp).ok());
+    // Rules: r1 Assign-PointsTo, r2 Load-PointsTo-PointsTo, r3 Store.
+    EXPECT_EQ(OldOnlyAtoms(irp.root.get(), *w.program),
+              "r1 d1:\n"
+              "r2 d1:\n"
+              "r2 d2: PointsTo(l1,l2)\n"
+              "r3 d1:\n"
+              "r3 d2: PointsTo(l0,l2)\n");
+    EXPECT_EQ(OldOnlyAtoms(irp.update_root.get(), *w.program),
+              "r0 d0:\n"
+              "r1 d0:\n"
+              "r1 d1: Assign(l0,l1)\n"
+              "r2 d0:\n"
+              "r2 d1: Load(l0,l1)\n"
+              "r2 d2: PointsTo(l1,l2) Load(l0,l1)\n"
+              "r3 d0:\n"
+              "r3 d1: Store(l0,l1)\n"
+              "r3 d2: Store(l0,l1) PointsTo(l0,l2)\n");
+  }
+  {
+    analysis::CspaConfig cspa;
+    cspa.total_tuples = 10;
+    analysis::Workload w =
+        analysis::MakeCspa(cspa, analysis::RuleOrder::kHandOptimized);
+    IRProgram irp;
+    ASSERT_TRUE(LowerProgram(w.program.get(), true, &irp).ok());
+    // VFlow, MAlias and VAlias are one stratum. r4 is the three-atom
+    // VAlias rule: MAlias(v3,v0), VFlow(v3,v1), VFlow(v0,v2).
+    EXPECT_EQ(OldOnlyAtoms(irp.root.get(), *w.program),
+              "r0 d1:\n"
+              "r1 d0:\n"
+              "r1 d1: VFlow(l0,l1)\n"
+              "r3 d0:\n"
+              "r3 d1: VFlow(l0,l1)\n"
+              "r4 d0:\n"
+              "r4 d1: MAlias(l0,l1)\n"
+              "r4 d2: MAlias(l0,l1) VFlow(l0,l2)\n"
+              "r2 d0:\n");
+  }
+  {
+    Program p;
+    Dsl dsl(&p);
+    auto edge = dsl.Relation("Edge", 2);
+    auto path = dsl.Relation("Path", 2);
+    auto [x, y, z] = dsl.Vars<3>();
+    path(x, y) <<= edge(x, y);
+    path(x, z) <<= path(x, y) & edge(y, z);
+    IRProgram irp;
+    ASSERT_TRUE(LowerProgram(&p, true, &irp).ok());
+    EXPECT_EQ(OldOnlyAtoms(irp.root.get(), p), "r1 d0:\n");
+    EXPECT_EQ(OldOnlyAtoms(irp.update_root.get(), p),
+              "r0 d0:\n"
+              "r1 d0:\n"
+              "r1 d1: Path(l0,l1)\n");
+  }
+  {
+    // The disconnected body: from dC the reorder runs B before A.
+    Program p;
+    Dsl dsl(&p);
+    auto a = dsl.Relation("A", 1);
+    auto b = dsl.Relation("B", 1);
+    auto c = dsl.Relation("C", 2);
+    auto s = dsl.Relation("S", 2);
+    auto [x, y, z] = dsl.Vars<3>();
+    s(x, z) <<= a(x) & b(y) & c(y, z);
+    IRProgram irp;
+    ASSERT_TRUE(LowerProgram(&p, true, &irp).ok());
+    EXPECT_EQ(OldOnlyAtoms(irp.root.get(), p), "");
+    EXPECT_EQ(OldOnlyAtoms(irp.update_root.get(), p),
+              "r0 d0:\n"
+              "r0 d1: A(l0)\n"
+              "r0 d2: B(l1) A(l0)\n");
+  }
+  {
+    // Path is a lower stratum read before Reach's delta. In-loop it stays
+    // unflagged: Path's stratum has no loop, so its init-pass rows stay in
+    // DeltaKnown and are not new to Reach's stratum. In an update epoch
+    // every input's DeltaKnown is its watermark tail, so it is flagged.
+    Program p;
+    Dsl dsl(&p);
+    auto edge = dsl.Relation("Edge", 2);
+    auto path = dsl.Relation("Path", 2);
+    auto reach = dsl.Relation("Reach", 2);
+    auto [x, y, z] = dsl.Vars<3>();
+    path(x, y) <<= edge(x, y);
+    reach(x, y) <<= path(x, y);
+    reach(x, z) <<= path(x, y) & reach(y, z);
+    IRProgram irp;
+    ASSERT_TRUE(LowerProgram(&p, true, &irp).ok());
+    ASSERT_EQ(irp.strata.size(), 2u);
+    EXPECT_EQ(OldOnlyAtoms(irp.root.get(), p), "r2 d1:\n");
+    EXPECT_EQ(OldOnlyAtoms(irp.update_root.get(), p),
+              "r0 d0:\n"
+              "r1 d0:\n"
+              "r2 d0:\n"
+              "r2 d1: Path(l0,l1)\n");
+  }
 }
 
 TEST(LoweringTest, UpdateTreeOmitsAggregateRules) {

@@ -322,6 +322,71 @@ TEST(DatabaseSetTest, SeedDeltaFromWatermarkCopiesOnlyNewRows) {
   EXPECT_EQ(db.Get(r, DbKind::kDeltaKnown).size(), 0u);
 }
 
+/// The tail invariant OldRowLimit rests on: DeltaKnown row k is Derived
+/// row OldRowLimit + k, for every k.
+void ExpectDeltaKnownIsTheTail(const DatabaseSet& db, RelationId r) {
+  const Relation& derived = db.Get(r, DbKind::kDerived);
+  const Relation& known = db.Get(r, DbKind::kDeltaKnown);
+  const RowId limit = db.OldRowLimit(r);
+  ASSERT_EQ(limit + known.NumRows(), derived.NumRows());
+  for (RowId k = 0; k < known.NumRows(); ++k) {
+    EXPECT_EQ(derived.View(limit + k), known.View(k)) << "k=" << k;
+  }
+}
+
+TEST(DatabaseSetTest, DeltaKnownIsTheTailOfDerived) {
+  DatabaseSet db;
+  const RelationId r = db.AddRelation("R", 2);
+  db.InsertFact(r, {1, 1});
+  db.InsertFact(r, {1, 2});
+  ExpectDeltaKnownIsTheTail(db, r);
+  EXPECT_EQ(db.OldRowLimit(r), 2u);
+
+  // Init pass: DeltaNew holds rows new to Derived (the emit dedup), in
+  // emission order, not value order.
+  for (Value v : {5, 3, 4}) db.Get(r, DbKind::kDeltaNew).Insert({v, v});
+  db.SwapClearMerge({r});
+  ExpectDeltaKnownIsTheTail(db, r);
+  EXPECT_EQ(db.OldRowLimit(r), 2u);
+
+  // A loop iteration: the previous delta becomes old.
+  for (Value v : {9, 7}) db.Get(r, DbKind::kDeltaNew).Insert({v, v});
+  db.SwapClearMerge({r});
+  ExpectDeltaKnownIsTheTail(db, r);
+  EXPECT_EQ(db.OldRowLimit(r), 5u);
+
+  // The last iteration derives nothing: every row is old.
+  db.SwapClearMerge({r});
+  ExpectDeltaKnownIsTheTail(db, r);
+  EXPECT_EQ(db.OldRowLimit(r), 7u);
+
+  // An update epoch seeds DeltaKnown from the rows past the watermark.
+  db.AdvanceEpoch();
+  db.InsertFact(r, {20, 20});
+  db.InsertFact(r, {21, 21});
+  EXPECT_EQ(db.SeedDeltaFromWatermark(r), 2u);
+  ExpectDeltaKnownIsTheTail(db, r);
+  EXPECT_EQ(db.OldRowLimit(r), 7u);
+
+  // Stratum recompute: back to the EDB facts, with an empty DeltaKnown.
+  db.ResetToEdbFacts(r);
+  ExpectDeltaKnownIsTheTail(db, r);
+  EXPECT_EQ(db.OldRowLimit(r), 4u);
+}
+
+TEST(DatabaseSetDeathTest, OldRowLimitRejectsADeltaKnownThatIsNotTheTail) {
+  DatabaseSet db;
+  const RelationId r = db.AddRelation("R", 2);
+  db.InsertFact(r, {1, 1});
+  db.InsertFact(r, {2, 2});
+  db.Get(r, DbKind::kDeltaKnown).Insert({1, 1});  // Derived's head row.
+  EXPECT_DEATH(db.OldRowLimit(r), "CARAC_CHECK failed");
+  // More delta rows than Derived holds cannot be its tail either.
+  db.Get(r, DbKind::kDeltaKnown).Insert({2, 2});
+  db.Get(r, DbKind::kDeltaKnown).Insert({3, 3});
+  EXPECT_DEATH(db.OldRowLimit(r), "CARAC_CHECK failed");
+}
+
 TEST(DatabaseSetTest, AdvanceEpochCounts) {
   DatabaseSet db;
   EXPECT_EQ(db.epoch(), 0u);
