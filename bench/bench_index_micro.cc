@@ -63,7 +63,7 @@ Sizes GetSizes(bool micro) {
 /// multi-row (the join shape, not a unique-key lookup). The watermark is
 /// advanced after the bulk load — the sorted-array kind measures its
 /// stable prefix, which is where evaluation spends its probes (body
-/// atoms read Derived/DeltaKnown, both stabilized at epoch boundaries).
+/// atoms read Derived, stabilized at epoch boundaries).
 void BuildRelation(IndexKind kind, const Sizes& s, Relation* rel,
                    double* insert_s) {
   util::Timer timer;

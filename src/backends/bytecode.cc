@@ -20,7 +20,7 @@ void RunBytecode(const BytecodeProgram& program, ir::ExecContext& ctx,
   auto pred = [](const Insn& insn) {
     return static_cast<datalog::PredicateId>(insn.b);
   };
-  auto source = [](const Insn& insn) { return static_cast<uint32_t>(insn.c); };
+  auto window = [](const Insn& insn) { return static_cast<uint32_t>(insn.c); };
 
   size_t pc = 0;
   for (;;) {
@@ -31,19 +31,19 @@ void RunBytecode(const BytecodeProgram& program, ir::ExecContext& ctx,
         ++pc;
         break;
       case Insn::Op::kScanOpen:
-        rt.ScanOpen(insn.a, pred(insn), source(insn));
+        rt.ScanOpen(insn.a, pred(insn), window(insn));
         ++pc;
         break;
       case Insn::Op::kProbeOpenConst:
-        rt.ProbeOpen(insn.a, pred(insn), source(insn), insn.d, insn.imm);
+        rt.ProbeOpen(insn.a, pred(insn), window(insn), insn.d, insn.imm);
         ++pc;
         break;
       case Insn::Op::kProbeOpenReg:
-        rt.ProbeOpen(insn.a, pred(insn), source(insn), insn.d, regs[insn.e]);
+        rt.ProbeOpen(insn.a, pred(insn), window(insn), insn.d, regs[insn.e]);
         ++pc;
         break;
       case Insn::Op::kRangeOpen:
-        rt.RangeOpen(insn.a, pred(insn), source(insn), insn.d, regs[insn.e],
+        rt.RangeOpen(insn.a, pred(insn), window(insn), insn.d, regs[insn.e],
                      regs[insn.f], insn.g);
         ++pc;
         break;
@@ -92,7 +92,7 @@ void RunBytecode(const BytecodeProgram& program, ir::ExecContext& ctx,
       }
       case Insn::Op::kNotContains: {
         const TupleDesc& desc = program.tuples[insn.a];
-        pc = rt.Contains(desc.predicate, desc.db, gather(desc))
+        pc = rt.Contains(desc.predicate, gather(desc))
                  ? static_cast<size_t>(insn.d)
                  : pc + 1;
         break;

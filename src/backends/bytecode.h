@@ -26,10 +26,10 @@ namespace carac::backends {
 struct Insn {
   enum class Op : uint8_t {
     kLoadImm,         // regs[a] = imm
-    kScanOpen,        // iters[a] = scan(pred b, db c) (c: see SourceOperand)
-    kProbeOpenConst,  // iters[a] = probe(pred b, db c, col d, imm)
-    kProbeOpenReg,    // iters[a] = probe(pred b, db c, col d, regs[e])
-    kRangeOpen,       // iters[a] = range(pred b, db c, col d,
+    kScanOpen,        // iters[a] = scan(pred b, window c) (WindowOperand)
+    kProbeOpenConst,  // iters[a] = probe(pred b, window c, col d, imm)
+    kProbeOpenReg,    // iters[a] = probe(pred b, window c, col d, regs[e])
+    kRangeOpen,       // iters[a] = range(pred b, window c, col d,
                       //   lo=regs[e], hi=regs[f]; g bit0/1: lo/hi strict).
                       // Declined or unindexed ranges degrade to a scan —
                       // the kCompare residuals behind the loop keep the
@@ -59,19 +59,17 @@ struct Insn {
   int64_t imm = 0;
 };
 
-/// The opens' `c` operand: the atom's DbKind, with kOldOnlyBit set when the
-/// atom is old-only (ir::AtomSpec::old_only). BytecodeRuntime decodes it,
-/// so both targets carry the flag through the same literal.
-inline constexpr uint32_t kOldOnlyBit = 0x100;
-inline int32_t SourceOperand(const ir::AtomSpec& atom) {
-  return static_cast<int32_t>(static_cast<uint32_t>(atom.source) |
-                              (atom.old_only ? kOldOnlyBit : 0u));
+/// The opens' `c` operand: the atom's storage::RowWindow. Every open reads
+/// Derived; BytecodeRuntime resolves the window, so both targets carry it
+/// through the same literal.
+inline int32_t WindowOperand(const ir::AtomSpec& atom) {
+  return static_cast<int32_t>(atom.window);
 }
 
-/// A row template used by kNotContains / kEmit: each column is a register.
+/// A row template used by kNotContains (a membership test on Derived) and
+/// kEmit: each column is a register.
 struct TupleDesc {
   datalog::PredicateId predicate;
-  storage::DbKind db;  // Source for kNotContains; ignored for kEmit.
   std::vector<int32_t> regs;
 };
 
@@ -101,33 +99,27 @@ struct BytecodeProgram {
 /// them, register operands already read.
 class BytecodeRuntime {
  public:
-  /// One iterator slot: either an arena scan (dense RowId cursor) or an
-  /// index-probe result (RowId cursor), each ending at `end`: the scan's
-  /// RowId bound, or the length of the bucket's prefix below the open's
-  /// row limit (the memo keeps the whole bucket, so each open cuts it).
-  /// `current` points at the row-major values of the current row inside
-  /// the relation's arena.
+  /// One iterator slot: either an arena scan (RowIds [row, end)) or an
+  /// index-probe result (`rows`, the memoized `bucket` cut to the open's
+  /// RowId window: the memo keeps the whole bucket, so each open cuts
+  /// it). `current` points at the row-major values of the current row
+  /// inside the relation's arena.
   struct Iter {
     const storage::Relation* rel = nullptr;
     bool probe = false;
     storage::RowCursor bucket;
+    storage::RowCursor rows;
     size_t bucket_pos = 0;
     storage::RowId row = 0;
     size_t end = 0;
     const storage::Value* current = nullptr;
-    // Old-row limit of the last old-only open (DatabaseSet::OldRowLimit),
-    // reused while the mutation generation holds: Derived and DeltaKnown
-    // only change where the generation moves.
-    const storage::Relation* limit_rel = nullptr;
-    uint64_t limit_gen = 0;
-    storage::RowId limit = storage::kAllRows;
     // Probe memo: an inner iterator slot typically re-opens with the same
     // (relation, column, key) once per outer row — always for const keys,
     // and for runs of equal outer join keys otherwise. The cursor from
     // the previous open is reused when the runtime's mutation generation
     // hasn't moved (kSwapClear / kCallNode bump it; in between, the
-    // probed Derived/DeltaKnown stores are frozen, so the cursor stays
-    // valid).
+    // probed Derived stores are frozen — emits write DeltaNew — so the
+    // cursor stays valid).
     const storage::Relation* memo_rel = nullptr;
     size_t memo_col = 0;
     storage::Value memo_key = 0;
@@ -149,37 +141,40 @@ class BytecodeRuntime {
     ir::ColumnProbeStats* probe_stats = nullptr;
 
     void OpenScan(const storage::Relation* relation,
-                  storage::RowId row_limit) {
+                  storage::RowInterval window) {
       rel = relation;
       probe = false;
-      row = 0;
-      end = std::min<size_t>(relation->NumRows(), row_limit);
+      row = window.lo;
+      end = std::min<size_t>(relation->NumRows(), window.hi);
       current = nullptr;
     }
 
-    /// Positions the slot at the start of `bucket` cut at `row_limit`.
-    void StartBucket(storage::RowId row_limit) {
+    /// Positions the slot at the start of `bucket` cut to `window`.
+    void StartBucket(storage::RowInterval window) {
       probe = true;
+      rows = bucket.Window(window.lo, window.hi);
       bucket_pos = 0;
-      end = bucket.Below(row_limit).size();
+      end = rows.size();
       current = nullptr;
     }
 
     void OpenProbe(const storage::Relation* relation, size_t col,
-                   storage::Value value, storage::RowId row_limit,
-                   uint64_t gen, bool memoizable, datalog::PredicateId pred,
+                   storage::Value value, storage::RowInterval window,
+                   uint64_t gen, datalog::PredicateId pred,
                    ir::AccessProfiler* profiler) {
       if (!relation->HasIndex(col)) {
         // No index (unindexed configuration): degrade to a scan; the
         // CHECK instructions emitted alongside the probe still filter
         // correctly because the compiler always re-checks the probed
         // column.
-        OpenScan(relation, row_limit);
+        OpenScan(relation, window);
         return;
       }
       rel = relation;
-      if (!(memo_valid && !memo_is_range && memo_rel == relation &&
-            memo_col == col && memo_key == value && memo_gen == gen)) {
+      const bool memo_hit = memo_valid && !memo_is_range &&
+                            memo_rel == relation && memo_col == col &&
+                            memo_key == value && memo_gen == gen;
+      if (!memo_hit) {
         if (probe_stats == nullptr || memo_rel != relation ||
             memo_col != col) {
           probe_stats = ir::ProbeStatsSlot(profiler, pred, col);
@@ -190,21 +185,21 @@ class BytecodeRuntime {
         memo_key = value;
         memo_gen = gen;
         memo_is_range = false;
-        memo_valid = memoizable;
+        memo_valid = true;
       }
-      StartBucket(row_limit);
+      StartBucket(window);
+      if (!memo_hit) probe_stats->point_hits += end != 0;
     }
 
     void OpenRange(const storage::Relation* relation, size_t col,
                    storage::Value lo, bool lo_strict, storage::Value hi,
-                   bool hi_strict, storage::RowId row_limit, uint64_t gen,
-                   bool memoizable, datalog::PredicateId pred,
-                   ir::AccessProfiler* profiler) {
+                   bool hi_strict, storage::RowInterval window, uint64_t gen,
+                   datalog::PredicateId pred, ir::AccessProfiler* profiler) {
       if (!relation->HasIndex(col)) {
         // Unindexed configuration: degrade to a scan. The kCompare
         // residuals the compiler always emits behind the loop keep it
         // correct.
-        OpenScan(relation, row_limit);
+        OpenScan(relation, window);
         return;
       }
       ir::ResolvedRange range;
@@ -219,12 +214,12 @@ class BytecodeRuntime {
           memo_col == col && memo_lo == range.lo && memo_hi == range.hi &&
           memo_gen == gen) {
         if (memo_declined) {
-          OpenScan(relation, row_limit);
+          OpenScan(relation, window);
           return;
         }
         rel = relation;
         bucket = storage::RowCursor(range_rows.data(), range_rows.size());
-        StartBucket(row_limit);
+        StartBucket(window);
         return;
       }
       if (probe_stats == nullptr || memo_rel != relation || memo_col != col) {
@@ -239,20 +234,20 @@ class BytecodeRuntime {
       memo_gen = gen;
       memo_is_range = true;
       memo_declined = !taken;
-      memo_valid = memoizable;
+      memo_valid = true;
       if (!taken) {
-        OpenScan(relation, row_limit);
+        OpenScan(relation, window);
         return;
       }
       rel = relation;
       bucket = storage::RowCursor(range_rows.data(), range_rows.size());
-      StartBucket(row_limit);
+      StartBucket(window);
     }
 
     bool Next() {
       if (probe) {
         if (bucket_pos >= end) return false;
-        current = rel->RowData(bucket[bucket_pos++]);
+        current = rel->RowData(rows[bucket_pos++]);
         return true;
       }
       if (row >= end) return false;
@@ -273,30 +268,24 @@ class BytecodeRuntime {
   /// lifetime, so a caller may hold the pointer across instructions.
   Iter* iters() { return iters_.data(); }
 
-  // The opens of slot `iter` over relation (pred, source), `source`
-  // being the SourceOperand: kScanOpen, kProbeOpenConst / kProbeOpenReg
-  // (`key` on `col`) and kRangeOpen ([lo, hi] on `col`; `strict` bit 0 /
-  // 1: lo / hi strict).
-  void ScanOpen(size_t iter, datalog::PredicateId pred, uint32_t source) {
-    Iter& it = iters_[iter];
-    const storage::Relation* rel = Source(pred, source);
-    it.OpenScan(rel, RowLimit(&it, pred, source, rel));
+  // The opens of slot `iter` over pred's Derived rows in `window` (the
+  // WindowOperand): kScanOpen, kProbeOpenConst / kProbeOpenReg (`key` on
+  // `col`) and kRangeOpen ([lo, hi] on `col`; `strict` bit 0 / 1: lo / hi
+  // strict).
+  void ScanOpen(size_t iter, datalog::PredicateId pred, uint32_t window) {
+    iters_[iter].OpenScan(Derived(pred), Window(pred, window));
   }
-  void ProbeOpen(size_t iter, datalog::PredicateId pred, uint32_t source,
+  void ProbeOpen(size_t iter, datalog::PredicateId pred, uint32_t window,
                  size_t col, storage::Value key) {
-    Iter& it = iters_[iter];
-    const storage::Relation* rel = Source(pred, source);
-    it.OpenProbe(rel, col, key, RowLimit(&it, pred, source, rel), probe_gen_,
-                 Memoizable(source), pred, &ctx_.profiler());
+    iters_[iter].OpenProbe(Derived(pred), col, key, Window(pred, window),
+                           probe_gen_, pred, &ctx_.profiler());
   }
-  void RangeOpen(size_t iter, datalog::PredicateId pred, uint32_t source,
+  void RangeOpen(size_t iter, datalog::PredicateId pred, uint32_t window,
                  size_t col, storage::Value lo, storage::Value hi,
                  uint32_t strict) {
-    Iter& it = iters_[iter];
-    const storage::Relation* rel = Source(pred, source);
-    it.OpenRange(rel, col, lo, (strict & 1) != 0, hi, (strict & 2) != 0,
-                 RowLimit(&it, pred, source, rel), probe_gen_,
-                 Memoizable(source), pred, &ctx_.profiler());
+    iters_[iter].OpenRange(Derived(pred), col, lo, (strict & 1) != 0, hi,
+                           (strict & 2) != 0, Window(pred, window),
+                           probe_gen_, pred, &ctx_.profiler());
   }
 
   /// kNext: advances slot `iter`; its new current row, null when
@@ -307,9 +296,8 @@ class BytecodeRuntime {
   }
 
   /// kNotContains' test.
-  bool Contains(datalog::PredicateId pred, storage::DbKind db,
-                storage::TupleView row) {
-    return db_.Get(pred, db).Contains(row);
+  bool Contains(datalog::PredicateId pred, storage::TupleView row) {
+    return Derived(pred)->Contains(row);
   }
 
   /// kSpjBegin: counts the SPJ and binds the emit window to pred's
@@ -336,7 +324,7 @@ class BytecodeRuntime {
     ++probe_gen_;
   }
   bool AnyDelta(size_t set) {
-    return db_.AnyDeltaKnownNonEmpty(program_.relation_sets[set]);
+    return db_.AnyDeltaNonEmpty(program_.relation_sets[set]);
   }
 
   void IterBump() { ctx_.stats().iterations++; }
@@ -347,26 +335,13 @@ class BytecodeRuntime {
   }
 
  private:
-  const storage::Relation* Source(datalog::PredicateId pred, uint32_t source) {
-    return &db_.Get(pred, static_cast<storage::DbKind>(source & ~kOldOnlyBit));
+  const storage::Relation* Derived(datalog::PredicateId pred) const {
+    return &db_.Get(pred, storage::DbKind::kDerived);
   }
 
-  /// The open's RowId limit: kAllRows unless `source` is old-only.
-  storage::RowId RowLimit(Iter* it, datalog::PredicateId pred,
-                          uint32_t source, const storage::Relation* rel) {
-    if ((source & kOldOnlyBit) == 0) return storage::kAllRows;
-    if (it->limit_rel != rel || it->limit_gen != probe_gen_) {
-      it->limit = db_.OldRowLimit(pred);
-      it->limit_rel = rel;
-      it->limit_gen = probe_gen_;
-    }
-    return it->limit;
-  }
-
-  // Emits only touch DeltaNew, so only probes of the other stores memoize.
-  static bool Memoizable(uint32_t source) {
-    return static_cast<storage::DbKind>(source & ~kOldOnlyBit) !=
-           storage::DbKind::kDeltaNew;
+  storage::RowInterval Window(datalog::PredicateId pred,
+                              uint32_t window) const {
+    return db_.Window(pred, static_cast<storage::RowWindow>(window));
   }
 
   const BytecodeProgram& program_;

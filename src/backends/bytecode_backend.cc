@@ -167,7 +167,6 @@ class Compiler {
     // Head emission.
     TupleDesc desc;
     desc.predicate = op.target;
-    desc.db = storage::DbKind::kDeltaNew;
     for (const LocalTerm& t : op.head_terms) {
       desc.regs.push_back(TermReg(&s, t));
     }
@@ -218,7 +217,6 @@ class Compiler {
   void CompileNegation(SpjState* s, const AtomSpec& atom) {
     TupleDesc desc;
     desc.predicate = atom.predicate;
-    desc.db = atom.source;
     for (const LocalTerm& t : atom.terms) desc.regs.push_back(TermReg(s, t));
     prog_.tuples.push_back(std::move(desc));
     Insn insn{.op = Insn::Op::kNotContains};
@@ -247,7 +245,7 @@ class Compiler {
       Insn open{.op = Insn::Op::kRangeOpen};
       open.a = iter;
       open.b = static_cast<int32_t>(atom.predicate);
-      open.c = SourceOperand(atom);
+      open.c = WindowOperand(atom);
       open.d = atom.range_col;
       open.e = BoundReg(s, atom.lower,
                         std::numeric_limits<int64_t>::min());
@@ -260,7 +258,7 @@ class Compiler {
       Insn open{.op = Insn::Op::kScanOpen};
       open.a = iter;
       open.b = static_cast<int32_t>(atom.predicate);
-      open.c = SourceOperand(atom);
+      open.c = WindowOperand(atom);
       Emit(open);
     } else {
       const LocalTerm& key = atom.terms[probe_col];
@@ -268,7 +266,7 @@ class Compiler {
                                  : Insn::Op::kProbeOpenConst};
       open.a = iter;
       open.b = static_cast<int32_t>(atom.predicate);
-      open.c = SourceOperand(atom);
+      open.c = WindowOperand(atom);
       open.d = probe_col;
       if (key.is_var) {
         open.e = key.var;

@@ -42,7 +42,7 @@ Thunk CompileFull(const ir::IROp* op) {
         do {
           ctx.stats().iterations++;
           body(ctx, interp, original);
-        } while (ctx.db().AnyDeltaKnownNonEmpty(rels));
+        } while (ctx.db().AnyDeltaNonEmpty(rels));
       };
     }
     case ir::OpKind::kSwapClear: {
@@ -82,7 +82,7 @@ Thunk CompileSnippet(const ir::IROp* op) {
         do {
           ctx.stats().iterations++;
           for (auto& child : original.children) interp.Execute(*child);
-        } while (ctx.db().AnyDeltaKnownNonEmpty(rels));
+        } while (ctx.db().AnyDeltaNonEmpty(rels));
       };
     }
     case ir::OpKind::kSwapClear:

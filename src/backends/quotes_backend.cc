@@ -50,25 +50,24 @@ BytecodeRuntime& Runtime(void* rt) {
 constexpr CaracQuotesApi kThunks = {
     .rt = nullptr,
     .scan_open =
-        [](void* rt, uint32_t iter, uint32_t pred, uint32_t db) {
-          Runtime(rt).ScanOpen(iter, pred, db);
+        [](void* rt, uint32_t iter, uint32_t pred, uint32_t window) {
+          Runtime(rt).ScanOpen(iter, pred, window);
         },
     .probe_open =
-        [](void* rt, uint32_t iter, uint32_t pred, uint32_t db, uint32_t col,
-           int64_t key) {
-          Runtime(rt).ProbeOpen(iter, pred, db, col, key);
+        [](void* rt, uint32_t iter, uint32_t pred, uint32_t window,
+           uint32_t col, int64_t key) {
+          Runtime(rt).ProbeOpen(iter, pred, window, col, key);
         },
     .range_open =
-        [](void* rt, uint32_t iter, uint32_t pred, uint32_t db, uint32_t col,
-           uint32_t strict, int64_t lo, int64_t hi) {
-          Runtime(rt).RangeOpen(iter, pred, db, col, lo, hi, strict);
+        [](void* rt, uint32_t iter, uint32_t pred, uint32_t window,
+           uint32_t col, uint32_t strict, int64_t lo, int64_t hi) {
+          Runtime(rt).RangeOpen(iter, pred, window, col, lo, hi, strict);
         },
     .next = [](void* rt, uint32_t iter) { return Runtime(rt).Next(iter); },
     .contains =
-        [](void* rt, uint32_t pred, uint32_t db, const int64_t* row,
+        [](void* rt, uint32_t pred, uint32_t /*window*/, const int64_t* row,
            uint32_t n) -> int {
-          return Runtime(rt).Contains(pred, static_cast<storage::DbKind>(db),
-                                      storage::TupleView(row, n));
+          return Runtime(rt).Contains(pred, storage::TupleView(row, n));
         },
     .spj_begin =
         [](void* rt, uint32_t pred) { Runtime(rt).SpjBegin(pred); },

@@ -162,7 +162,8 @@ void PrintStatement(Printer* p, const BytecodeProgram& program,
       p->Print("{ ");
       PrintRowDecl(p, desc);
       p->Print("if (q.contains(q.rt, ", Unsigned{desc.predicate}, ", ",
-               Unsigned{static_cast<int64_t>(desc.db)}, ", ");
+               Unsigned{static_cast<int64_t>(storage::RowWindow::kAll)},
+               ", ");
       PrintRowArgs(p, desc);
       p->Print(")) goto ", fail, "; }");
       return;

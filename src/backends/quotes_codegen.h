@@ -20,22 +20,23 @@ namespace carac::backends {
 /// The C ABI between generated code and the engine: one callback per
 /// storage instruction of the BytecodeProgram the source was printed
 /// from, taking the instruction's static operands as literals (iterator
-/// slot, predicate, SourceOperand or DbKind, column, relation-set or
-/// call-node index) and its register operands as values. Each runs the
+/// slot, predicate, WindowOperand, column, relation-set or call-node
+/// index) and its register operands as values. Each runs the
 /// BytecodeRuntime method RunBytecode's switch runs. `next` returns the
 /// slot's new current row (null when exhausted); `contains` takes the
-/// tuple as a row of `n` values (null when n is 0); `emit` returns the
-/// space the head tuple's values are written to.
+/// tuple as a row of `n` values (null when n is 0) and a window that is
+/// always RowWindow::kAll (a negation tests all of Derived); `emit`
+/// returns the space the head tuple's values are written to.
 CARAC_QUOTES_ABI(struct CaracQuotesApi {
   void* rt;
-  void (*scan_open)(void* rt, uint32_t iter, uint32_t pred, uint32_t db);
-  void (*probe_open)(void* rt, uint32_t iter, uint32_t pred, uint32_t db,
+  void (*scan_open)(void* rt, uint32_t iter, uint32_t pred, uint32_t window);
+  void (*probe_open)(void* rt, uint32_t iter, uint32_t pred, uint32_t window,
                      uint32_t col, int64_t key);
-  void (*range_open)(void* rt, uint32_t iter, uint32_t pred, uint32_t db,
+  void (*range_open)(void* rt, uint32_t iter, uint32_t pred, uint32_t window,
                      uint32_t col, uint32_t strict, int64_t lo, int64_t hi);
   const int64_t* (*next)(void* rt, uint32_t iter);
-  int (*contains)(void* rt, uint32_t pred, uint32_t db, const int64_t* row,
-                  uint32_t n);
+  int (*contains)(void* rt, uint32_t pred, uint32_t window,
+                  const int64_t* row, uint32_t n);
   void (*spj_begin)(void* rt, uint32_t pred);
   int64_t* (*emit)(void* rt);
   void (*spj_end)(void* rt);

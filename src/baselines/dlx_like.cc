@@ -51,7 +51,7 @@ DlxResult RunDlxLike(const harness::WorkloadFactory& factory,
       for (ir::IROp* pass : naive_passes) interp.ExecuteNode(*pass);
       ctx.db().SwapClearMerge(relations);
       ctx.stats().iterations++;
-      if (!ctx.db().AnyDeltaKnownNonEmpty(relations)) break;
+      if (!ctx.db().AnyDeltaNonEmpty(relations)) break;
     }
   }
 

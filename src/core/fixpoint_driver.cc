@@ -97,10 +97,10 @@ util::Status FixpointDriver::RunUpdateEpoch(EpochReport* report) {
       continue;
     }
 
-    // Incremental pass: seed DeltaKnown of everything the stratum reads
-    // or defines with the Derived rows past its watermark (clearing any
-    // residue a previous evaluation left in the delta stores), then run
-    // the delta loop. Unchanged relations seed zero rows for O(1).
+    // Incremental pass: set the delta window of everything the stratum
+    // reads or defines to the Derived rows past its watermark (dropping
+    // any window a previous evaluation left), then run the delta loop.
+    // Unchanged relations seed an empty window.
     for (datalog::PredicateId p : plan.predicates) {
       local.seeded_rows += db.SeedDeltaFromWatermark(p);
     }

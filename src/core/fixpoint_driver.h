@@ -18,7 +18,7 @@ struct EpochReport {
   uint64_t epoch = 0;
   /// True for full evaluation (Engine::Run, or the first Update()).
   bool full = false;
-  /// Delta rows seeded from watermarks into DeltaKnown stores.
+  /// Delta rows seeded from watermarks (the delta windows' sizes).
   uint64_t seeded_rows = 0;
   uint32_t strata_incremental = 0;
   uint32_t strata_recomputed = 0;
@@ -42,7 +42,7 @@ struct EpochReport {
 ///   - Inputs only grew, and none of them is a recompute trigger
 ///     (negated, or feeding an aggregate rule): positive derivations are
 ///     monotone, so Derived survives and the stratum's update subtree
-///     runs — DeltaKnown seeded with the rows past each watermark, the
+///     runs — delta windows seeded with the rows past each watermark, the
 ///     delta loop to fixpoint, every emission deduped against Derived.
 ///   - A recompute trigger changed, or an upstream stratum was itself
 ///     recomputed (its relations may have shrunk): previously derived

@@ -106,11 +106,12 @@ AccessPath AccessPath::Resolve(const storage::DatabaseSet& db,
                                const AtomSpec& atom,
                                const std::vector<bool>& bound_before,
                                AccessProfiler* profiler) {
-  const storage::Relation& rel = db.Get(atom.predicate, atom.source);
+  const storage::Relation& rel =
+      db.Get(atom.predicate, storage::DbKind::kDerived);
   AccessPath path;
   path.rel_ = &rel;
   path.atom_ = &atom;
-  if (atom.old_only) path.row_limit_ = db.OldRowLimit(atom.predicate);
+  path.window_ = db.Window(atom.predicate, atom.window);
   const int32_t probe_col = FirstProbeColumn(
       atom, [&](LocalVar v) { return bound_before[v]; },
       [&](size_t col) { return rel.HasIndex(col); });
@@ -136,9 +137,10 @@ void AccessPath::OpenBatch(const Value* keys, size_t n,
   rel_->BatchProbe(col_, keys, n, cursors);
   stats_->batch_windows++;
   stats_->point_probes += n;
-  for (size_t k = 0; k < n; ++k) stats_->point_hits += !cursors[k].empty();
-  if (row_limit_ == storage::kAllRows) return;
-  for (size_t k = 0; k < n; ++k) cursors[k] = cursors[k].Below(row_limit_);
+  for (size_t k = 0; k < n; ++k) {
+    cursors[k] = cursors[k].Window(window_.lo, window_.hi);
+    stats_->point_hits += !cursors[k].empty();
+  }
 }
 
 }  // namespace carac::ir

@@ -99,16 +99,14 @@ inline ColumnProbeStats* ProbeStatsSlot(AccessProfiler* profiler,
 }
 
 /// Point probe on an indexed column, counted into `stats` (null: record
-/// nothing).
+/// nothing). The caller counts its `point_hits`: a hit is a probe with
+/// rows inside the atom's RowId window, so it is counted on the bucket
+/// cut to that window.
 inline storage::RowCursor ProbePoint(const storage::Relation& rel,
                                      size_t col, storage::Value key,
                                      ColumnProbeStats* stats) {
-  const storage::RowCursor bucket = rel.Probe(col, key);
-  if (stats != nullptr) {
-    stats->point_probes++;
-    stats->point_hits += !bucket.empty();
-  }
-  return bucket;
+  if (stats != nullptr) stats->point_probes++;
+  return rel.Probe(col, key);
 }
 
 /// A fully resolved, closed range [lo, hi] for one annotated atom (see
@@ -156,29 +154,30 @@ bool ProbeRange(const storage::Relation& rel, size_t col,
 // ---- Resolved access paths ----
 
 /// The row sequence an AccessPath opens, in ascending RowId order:
-/// positions [0, size()) map to RowIds either densely (a scan: position
-/// == RowId) or through a cursor (a point-probe bucket or a range-probe
-/// row list). Both forms take a RowId upper limit (an old-only atom's
-/// DatabaseSet::OldRowLimit): ascending order makes the rows below it a
-/// prefix, so the sequence is simply shorter. Sharding windows index
+/// positions [0, size()) map to RowIds either densely (a scan: RowId ==
+/// first row + position) or through a cursor (a point-probe bucket or a
+/// range-probe row list). Both forms take the atom's RowId window
+/// (DatabaseSet::Window): ascending order makes the rows inside it one
+/// run, so the sequence is simply shorter. Sharding windows index
 /// positions, so every shard of one open sees the same sequence.
 class RowSeq {
  public:
-  static RowSeq Dense(size_t num_rows,
-                      storage::RowId limit = storage::kAllRows) {
+  static RowSeq Dense(size_t num_rows, storage::RowInterval window = {}) {
     RowSeq seq;
-    seq.size_ = std::min<size_t>(num_rows, limit);
+    const size_t end = std::min<size_t>(num_rows, window.hi);
+    seq.first_ = window.lo;
+    seq.size_ = end > window.lo ? end - window.lo : 0;
     seq.dense_ = true;
     return seq;
   }
-  RowSeq(storage::RowCursor rows, storage::RowId limit)
-      : rows_(rows.Below(limit)),
+  RowSeq(storage::RowCursor rows, storage::RowInterval window)
+      : rows_(rows.Window(window.lo, window.hi)),
         size_(rows_.size()),
         dense_(false) {}
 
   size_t size() const { return size_; }
   storage::RowId operator[](size_t pos) const {
-    return dense_ ? static_cast<storage::RowId>(pos) : rows_[pos];
+    return dense_ ? first_ + static_cast<storage::RowId>(pos) : rows_[pos];
   }
 
   /// Calls fn(row) for positions [begin, min(end, size())). The
@@ -188,7 +187,7 @@ class RowSeq {
     end = std::min(end, size_);
     if (dense_) {
       for (size_t pos = begin; pos < end; ++pos) {
-        fn(static_cast<storage::RowId>(pos));
+        fn(first_ + static_cast<storage::RowId>(pos));
       }
       return;
     }
@@ -203,6 +202,7 @@ class RowSeq {
   RowSeq() = default;
 
   storage::RowCursor rows_;
+  storage::RowId first_ = 0;
   size_t size_ = 0;
   bool dense_ = false;
 };
@@ -212,8 +212,8 @@ class RowSeq {
 /// constant or an already-bound variable, a range probe over the atom's
 /// pushed-down bounds, or a full scan. Carries the (predicate, column)
 /// counter slot, so opening it is the only place probes are profiled,
-/// and the atom's RowId limit, so it is the only place an old-only atom
-/// (AtomSpec::old_only) is bounded.
+/// and the atom's RowId window (AtomSpec::window), so it is the only place
+/// an old-only or delta atom is bounded.
 class AccessPath {
  public:
   enum class Kind : uint8_t { kScan, kPoint, kRange };
@@ -224,9 +224,10 @@ class AccessPath {
   /// bound before it runs: a point probe on FirstProbeColumn when there
   /// is one (a point probe always beats a range); otherwise a range probe
   /// when the atom carries annotated bounds on an indexed column;
-  /// otherwise a scan. An old-only atom takes db.OldRowLimit once here,
-  /// and every sequence and batch the path opens stops below it. Counters
-  /// go to `profiler` (the context's, or a shard's).
+  /// otherwise a scan. Every atom reads Derived: the atom's window is
+  /// taken once here (db.Window), and every sequence and batch the path
+  /// opens is cut to it. Counters go to `profiler` (the context's, or a
+  /// shard's).
   static AccessPath Resolve(const storage::DatabaseSet& db,
                             const AtomSpec& atom,
                             const std::vector<bool>& bound_before,
@@ -256,8 +257,8 @@ class AccessPath {
 
   /// Resolves a window of point-probe keys in one BatchProbe call
   /// (requires kind() == kPoint): cursors[k] holds keys[k]'s bucket, cut
-  /// at the row limit. Records point_probes, point_hits and
-  /// batch_windows.
+  /// to the row window. Records point_probes, point_hits (the keys with
+  /// rows in the window) and batch_windows.
   void OpenBatch(const storage::Value* keys, size_t n,
                  storage::RowCursor* cursors) const;
 
@@ -265,28 +266,31 @@ class AccessPath {
   RowSeq OpenRecording(const storage::Value* binding,
                        ColumnProbeStats* stats) {
     switch (kind_) {
-      case Kind::kPoint:
-        return RowSeq(ProbePoint(*rel_, col_,
-                                 key_var_ >= 0 ? binding[key_var_] : key_const_,
-                                 stats),
-                      row_limit_);
+      case Kind::kPoint: {
+        RowSeq rows(ProbePoint(*rel_, col_,
+                               key_var_ >= 0 ? binding[key_var_] : key_const_,
+                               stats),
+                    window_);
+        if (stats != nullptr) stats->point_hits += rows.size() != 0;
+        return rows;
+      }
       case Kind::kRange:
         if (ProbeRange(*rel_, col_, ResolveRange(*atom_, binding), stats,
                           &range_rows_)) {
           return RowSeq(
               storage::RowCursor(range_rows_.data(), range_rows_.size()),
-              row_limit_);
+              window_);
         }
         break;
       case Kind::kScan:
         break;
     }
-    return RowSeq::Dense(rel_->NumRows(), row_limit_);
+    return RowSeq::Dense(rel_->NumRows(), window_);
   }
 
   const storage::Relation* rel_ = nullptr;
   const AtomSpec* atom_ = nullptr;
-  storage::RowId row_limit_ = storage::kAllRows;
+  storage::RowInterval window_;
   Kind kind_ = Kind::kScan;
   size_t col_ = 0;
   LocalVar key_var_ = -1;

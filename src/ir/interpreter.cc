@@ -134,7 +134,7 @@ class SubqueryRun {
       }
       if (atom.negated) {
         // Membership test: every term must be resolvable; no binds.
-        p.rel = &ctx_.db().Get(atom.predicate, atom.source);
+        p.rel = &ctx_.db().Get(atom.predicate, storage::DbKind::kDerived);
         plan_.push_back(std::move(p));
         continue;
       }
@@ -404,7 +404,7 @@ void Interpreter::ExecuteNode(IROp& op) {
       do {
         ctx_->stats().iterations++;
         Execute(*op.children[0]);
-      } while (ctx_->db().AnyDeltaKnownNonEmpty(op.relations));
+      } while (ctx_->db().AnyDeltaNonEmpty(op.relations));
       return;
     case OpKind::kSwapClear:
       ctx_->db().SwapClearMerge(op.relations);

@@ -95,9 +95,9 @@ void Render(const IROp& op, const datalog::Program& program, int indent,
         out->append(datalog::BuiltinName(atom.builtin));
       } else {
         out->append(program.PredicateName(atom.predicate));
-        out->append(atom.source == storage::DbKind::kDeltaKnown ? "@d"
-                    : atom.old_only                              ? "@o"
-                                                                 : "@*");
+        out->append(atom.window == storage::RowWindow::kDelta ? "@d"
+                    : atom.window == storage::RowWindow::kOld ? "@o"
+                                                              : "@*");
       }
       out->append("(");
       for (size_t j = 0; j < atom.terms.size(); ++j) {

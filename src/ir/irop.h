@@ -39,20 +39,21 @@ struct BoundSpec {
   bool present() const { return kind != Kind::kNone; }
 };
 
-/// One atom inside an SPJ subquery. Relational atoms carry the database
-/// they read (Derived or DeltaKnown — the semi-naive split, §II-A); builtin
-/// atoms evaluate in place; negated atoms are membership tests.
+/// One atom inside an SPJ subquery. Relational atoms read Derived through
+/// a row window (all rows, or the semi-naive split of §II-A into old rows
+/// and the delta); builtin atoms evaluate in place; negated atoms are
+/// membership tests over all rows.
 struct AtomSpec {
   datalog::BuiltinOp builtin = datalog::BuiltinOp::kNone;
   datalog::PredicateId predicate = datalog::kInvalidPredicate;
-  storage::DbKind source = storage::DbKind::kDerived;
   bool negated = false;
-  /// Semi-naive "each derivation once": a Derived join atom that comes
-  /// before its variant's DeltaKnown atom in rule order reads only the
-  /// rows that were in Derived before the last merge — the RowIds below
-  /// DatabaseSet::OldRowLimit. A derivation whose delta rows sit at
-  /// several atoms is then emitted only by the variant of the first one.
-  bool old_only = false;
+  /// kDelta: the variant's delta atom (the paper's DeltaKnown). kOld:
+  /// semi-naive "each derivation once" — a join atom that comes before
+  /// its variant's delta atom in rule order reads only the rows that were
+  /// in Derived before the last merge, the RowIds below
+  /// DatabaseSet::OldRowLimit, so a derivation whose delta rows sit at
+  /// several atoms is emitted only by the variant of the first one.
+  storage::RowWindow window = storage::RowWindow::kAll;
   std::vector<LocalTerm> terms;
 
   /// Range pushdown (see ir::AnnotateRangeBounds): when >= 0, column
@@ -118,7 +119,7 @@ struct IROp {
   /// delta (-1 for the naive initial pass). Diagnostics and tests only.
   uint32_t rule_index = 0;
   int32_t delta_pos = -1;
-  /// Update-tree subqueries pin their DeltaKnown atom outermost, so the
+  /// Update-tree subqueries pin their delta atom outermost, so the
   /// delta rows drive the join; lowering orders the remaining join atoms
   /// so each shares a variable with an earlier one (a probe per delta
   /// row, not a scan). Every reorderer (AOT and the JIT backends'
@@ -169,10 +170,10 @@ struct StratumPlan {
 struct IRProgram {
   std::unique_ptr<IROp> root;
   /// The incremental twin of `root`: per stratum, a DoWhile loop whose
-  /// subqueries read DeltaKnown at EVERY positive atom position in turn
+  /// subqueries read the delta at EVERY positive atom position in turn
   /// (EDB and lower-stratum atoms included, unlike the in-loop delta
   /// split under `root`, which only targets same-stratum atoms). An
-  /// update epoch seeds DeltaKnown from the Derived rows past each
+  /// update epoch sets each delta window to the Derived rows past the
   /// relation's watermark and runs these loops to fixpoint.
   std::unique_ptr<IROp> update_root;
   uint32_t num_nodes = 0;

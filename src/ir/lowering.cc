@@ -217,7 +217,7 @@ void AnnotateRangeBounds(IROp* op) {
 namespace {
 
 /// Builds the SPJ/Aggregate node for `rule`. `delta_pos` selects which
-/// join atom (index among the positive relational atoms) reads DeltaKnown;
+/// join atom (index among the positive relational atoms) reads the delta;
 /// -1 produces the naive variant reading Derived everywhere. Outside
 /// `update_mode` only same-stratum atoms qualify (the in-loop semi-naive
 /// split) and lowering order is preserved. In `update_mode` — the
@@ -230,13 +230,13 @@ namespace {
 /// Only a body that is itself disconnected keeps a Cartesian step.
 ///
 /// Every eligible join atom before the delta position (in rule order, so
-/// the flag is set before the update-mode reorder) is old-only: it reads
-/// the Derived rows that predate the current DeltaKnown. Variants run in
+/// the window is set before the update-mode reorder) is old-only: it reads
+/// the Derived rows that predate the current delta. Variants run in
 /// delta-position order, so a derivation with delta rows at several atoms
 /// is emitted by the variant of the first one only. In-loop, only
 /// same-stratum atoms qualify: a lower stratum without recursion keeps
-/// its init-pass rows in DeltaKnown, which are not new to this stratum.
-/// In an update epoch every input's DeltaKnown is its watermark tail.
+/// its init-pass rows as its delta window, which are not new to this
+/// stratum. In an update epoch every input's delta is its watermark tail.
 std::unique_ptr<IROp> BuildSubquery(LoweringState* state,
                                     const datalog::Rule& rule,
                                     uint32_t rule_index, int32_t delta_pos,
@@ -259,15 +259,15 @@ std::unique_ptr<IROp> BuildSubquery(LoweringState* state,
       const bool same_stratum =
           stratum_of[atom.predicate] == stratum && stratum >= 0;
       const bool delta_eligible = update_mode || same_stratum;
-      const bool is_delta = join_idx == delta_pos && delta_eligible;
-      spec.source = is_delta ? storage::DbKind::kDeltaKnown
-                             : storage::DbKind::kDerived;
-      spec.old_only = join_idx < delta_pos && delta_eligible;
+      if (delta_eligible && join_idx == delta_pos) {
+        spec.window = storage::RowWindow::kDelta;
+      } else if (delta_eligible && join_idx < delta_pos) {
+        spec.window = storage::RowWindow::kOld;
+      }
       joins.push_back(std::move(spec));
       ++join_idx;
     } else {
-      spec.source = storage::DbKind::kDerived;  // Negations read Derived.
-      floaters.push_back(std::move(spec));
+      floaters.push_back(std::move(spec));  // Negations read all rows.
     }
   }
   if (update_mode && delta_pos >= 0) {
@@ -350,7 +350,7 @@ std::vector<int32_t> DeltaPositions(const datalog::Rule& rule,
 ///           BuildUpdateSubquery variant per positive body atom
 ///         SwapClearOp [stratum predicates + body inputs]
 ///
-/// The caller seeds DeltaKnown (from the Derived rows past each
+/// The caller seeds the delta windows (the Derived rows past each
 /// watermark) before executing this; iteration 1 consumes the seeds and
 /// the SwapClear — which covers the seeded input relations too — retires
 /// them, leaving the loop a plain semi-naive fixpoint over the stratum's

@@ -278,7 +278,7 @@ bool CanFuse(ExecContext& ctx, const IROp& op) {
   for (const LocalTerm& t : a0.terms) {
     if (t.is_var) bound[t.var] = true;
   }
-  const Relation& rel1 = ctx.db().Get(a1.predicate, a1.source);
+  const Relation& rel1 = ctx.db().Get(a1.predicate, storage::DbKind::kDerived);
   const int32_t probe_col = FirstProbeColumn(
       a1, [&](LocalVar v) { return bound[v]; },
       [&](size_t col) { return rel1.HasIndex(col); });
@@ -315,7 +315,7 @@ std::vector<std::unique_ptr<RowSource>> BuildPipeline(
       }
     } else if (atom.negated) {
       pipeline.push_back(std::make_unique<NegationSource>(
-          &ctx.db().Get(atom.predicate, atom.source), &atom));
+          &ctx.db().Get(atom.predicate, storage::DbKind::kDerived), &atom));
     } else {
       pipeline.push_back(
           std::make_unique<ScanSource>(ctx.db(), &atom, bound, profiler));

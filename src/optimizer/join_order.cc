@@ -52,7 +52,7 @@ bool ReorderSubquery(const StatsSnapshot& stats, const JoinOrderConfig& config,
   std::set<ir::LocalVar> bound;
   double current = 1.0;
 
-  // Update-epoch subqueries pin their DeltaKnown atom outermost (an empty
+  // Update-epoch subqueries pin their delta atom outermost (an empty
   // delta then short-circuits the whole variant — the property that keeps
   // epoch cost proportional to the delta). The cost model alone does not
   // guarantee this: rules-only planning prices every atom identically,
@@ -62,7 +62,7 @@ bool ReorderSubquery(const StatsSnapshot& stats, const JoinOrderConfig& config,
   bool pin_delta = false;
   if (op->delta_pinned) {
     for (const ir::AtomSpec& join : joins) {
-      pin_delta |= join.source == storage::DbKind::kDeltaKnown;
+      pin_delta |= join.window == storage::RowWindow::kDelta;
     }
   }
 
@@ -74,7 +74,7 @@ bool ReorderSubquery(const StatsSnapshot& stats, const JoinOrderConfig& config,
     for (size_t j = 0; j < joins.size(); ++j) {
       if (used[j]) continue;
       if (pin_delta && step == 0 &&
-          joins[j].source != storage::DbKind::kDeltaKnown) {
+          joins[j].window != storage::RowWindow::kDelta) {
         continue;
       }
       const double estimate =
@@ -121,9 +121,8 @@ bool ReorderSubquery(const StatsSnapshot& stats, const JoinOrderConfig& config,
     for (size_t i = 0; i < scheduled.size(); ++i) {
       const ir::AtomSpec& a = scheduled[i];
       const ir::AtomSpec& b = op->atoms[i];
-      if (a.predicate != b.predicate || a.source != b.source ||
-          a.old_only != b.old_only || a.builtin != b.builtin ||
-          a.negated != b.negated) {
+      if (a.predicate != b.predicate || a.window != b.window ||
+          a.builtin != b.builtin || a.negated != b.negated) {
         return true;
       }
       if (a.terms.size() != b.terms.size()) return true;

@@ -57,12 +57,9 @@ StatsSnapshot StatsSnapshot::Capture(const storage::DatabaseSet& db) {
   snap.index_masks_.assign(n, 0);
   for (size_t p = 0; p < n; ++p) {
     const auto pred = static_cast<datalog::PredicateId>(p);
-    for (int k = 0; k < 3; ++k) {
-      snap.cards_[p][k] =
-          db.Get(pred, static_cast<storage::DbKind>(k)).size();
-    }
     const storage::Relation& derived =
         db.Get(pred, storage::DbKind::kDerived);
+    snap.cards_[p] = {derived.size(), db.DeltaSize(pred)};
     for (size_t col = 0; col < db.RelationArity(pred) && col < 32; ++col) {
       if (derived.HasIndex(col)) snap.index_masks_[p] |= (1u << col);
     }

@@ -41,19 +41,23 @@ struct AccessPathProfile {
 AccessPathProfile ProfileAccessPaths(const datalog::Program& program);
 
 /// An immutable snapshot of the statistics the join orderer consumes:
-/// live cardinalities of every store of every relation plus index
-/// availability. Captured on the evaluation thread at optimization (or
-/// compile-enqueue) time so that asynchronous compilation never races with
-/// evaluation — this is the "concrete instances of relations plugged
-/// directly into the reordering algorithm" of §IV.
+/// live cardinalities of every relation's Derived store and delta window
+/// plus index availability. Captured on the evaluation thread at
+/// optimization (or compile-enqueue) time so that asynchronous compilation
+/// never races with evaluation — this is the "concrete instances of
+/// relations plugged directly into the reordering algorithm" of §IV.
 class StatsSnapshot {
  public:
   StatsSnapshot() = default;
 
   static StatsSnapshot Capture(const storage::DatabaseSet& db);
 
-  uint64_t Cardinality(datalog::PredicateId pred, storage::DbKind kind) const {
-    return cards_[pred][static_cast<size_t>(kind)];
+  /// Rows an atom reading `window` of `pred` is priced at: the delta
+  /// window's size for kDelta, else Derived's size, old-only atoms
+  /// included.
+  uint64_t Cardinality(datalog::PredicateId pred,
+                       storage::RowWindow window) const {
+    return cards_[pred][window == storage::RowWindow::kDelta ? 1 : 0];
   }
 
   bool HasIndex(datalog::PredicateId pred, size_t column) const {
@@ -62,14 +66,14 @@ class StatsSnapshot {
 
   size_t num_relations() const { return cards_.size(); }
 
-  /// Cardinality of the store an atom reads; 0 for builtins.
+  /// Cardinality of the rows an atom reads; 0 for builtins.
   uint64_t AtomCardinality(const ir::AtomSpec& atom) const {
     if (atom.is_builtin()) return 0;
-    return Cardinality(atom.predicate, atom.source);
+    return Cardinality(atom.predicate, atom.window);
   }
 
  private:
-  std::vector<std::array<uint64_t, 3>> cards_;
+  std::vector<std::array<uint64_t, 2>> cards_;  // {Derived, delta}.
   std::vector<uint32_t> index_masks_;
 };
 

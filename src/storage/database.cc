@@ -7,23 +7,10 @@
 
 namespace carac::storage {
 
-const char* DbKindName(DbKind kind) {
-  switch (kind) {
-    case DbKind::kDerived:
-      return "derived";
-    case DbKind::kDeltaKnown:
-      return "delta_known";
-    case DbKind::kDeltaNew:
-      return "delta_new";
-  }
-  return "?";
-}
-
 RelationId DatabaseSet::AddRelation(const std::string& name, size_t arity) {
   const RelationId id = static_cast<RelationId>(stores_.size());
   Store store;
   store.derived = std::make_unique<Relation>(name, arity);
-  store.delta_known = std::make_unique<Relation>(name + "_dk", arity);
   store.delta_new = std::make_unique<Relation>(name + "_dn", arity);
   stores_.push_back(std::move(store));
   edb_rows_.emplace_back();
@@ -46,8 +33,6 @@ Relation& DatabaseSet::Get(RelationId id, DbKind kind) {
   switch (kind) {
     case DbKind::kDerived:
       return *store.derived;
-    case DbKind::kDeltaKnown:
-      return *store.delta_known;
     case DbKind::kDeltaNew:
       return *store.delta_new;
   }
@@ -73,20 +58,14 @@ void DatabaseSet::DeclareIndex(RelationId id, size_t column,
                                IndexKind kind) {
   if (!indexing_enabled_) return;
   CARAC_CHECK(id < stores_.size());
-  Store& store = stores_[id];
-  store.derived->DeclareIndex(column, kind);
-  store.delta_known->DeclareIndex(column, kind);
-  store.delta_new->DeclareIndex(column, kind);
+  stores_[id].derived->DeclareIndex(column, kind);
 }
 
 void DatabaseSet::RedeclareIndex(RelationId id, size_t column,
                                  IndexKind kind) {
   if (!indexing_enabled_) return;
   CARAC_CHECK(id < stores_.size());
-  Store& store = stores_[id];
-  store.derived->RedeclareIndex(column, kind);
-  store.delta_known->RedeclareIndex(column, kind);
-  store.delta_new->RedeclareIndex(column, kind);
+  stores_[id].derived->RedeclareIndex(column, kind);
 }
 
 bool DatabaseSet::InsertFact(RelationId id, Tuple tuple) {
@@ -117,36 +96,31 @@ void DatabaseSet::Reserve(RelationId id, size_t rows) {
 void DatabaseSet::SwapClearMerge(const std::vector<RelationId>& relations) {
   for (RelationId id : relations) {
     Store& store = stores_[id];
-    store.delta_known->Clear();
-    std::swap(store.delta_known, store.delta_new);
-    // Merge the freshly swapped-in DeltaKnown into Derived: every fact
-    // readable from a delta must also be readable from Derived.
-    const Relation& known = *store.delta_known;
-    if (!known.empty()) {
-      store.derived->Reserve(store.derived->size() + known.size());
-      for (RowId row = 0; row < known.NumRows(); ++row) {
-        store.derived->Insert(known.View(row));
+    Relation& derived = *store.derived;
+    Relation& fresh = *store.delta_new;
+    store.delta_lo = derived.NumRows();
+    if (!fresh.empty()) {
+      derived.Reserve(derived.size() + fresh.size());
+      for (RowId row = 0; row < fresh.NumRows(); ++row) {
+        derived.Insert(fresh.View(row));
       }
+      fresh.Clear();
     }
+    store.delta_hi = derived.NumRows();
   }
 }
 
 RowId DatabaseSet::OldRowLimit(RelationId id) const {
   CARAC_CHECK(id < stores_.size());
   const Store& store = stores_[id];
-  const Relation& derived = *store.derived;
-  const Relation& known = *store.delta_known;
-  if (known.empty()) return derived.NumRows();
-  CARAC_CHECK(known.NumRows() <= derived.NumRows());
-  const RowId limit = derived.NumRows() - known.NumRows();
-  CARAC_CHECK(derived.View(limit) == known.View(0));
-  return limit;
+  CARAC_CHECK(store.delta_hi == store.derived->NumRows());
+  return store.delta_lo;
 }
 
-bool DatabaseSet::AnyDeltaKnownNonEmpty(
+bool DatabaseSet::AnyDeltaNonEmpty(
     const std::vector<RelationId>& relations) const {
   for (RelationId id : relations) {
-    if (!stores_[id].delta_known->empty()) return true;
+    if (stores_[id].delta_lo != stores_[id].delta_hi) return true;
   }
   return false;
 }
@@ -160,17 +134,11 @@ bool DatabaseSet::ChangedSinceWatermark(RelationId id) const {
 size_t DatabaseSet::SeedDeltaFromWatermark(RelationId id) {
   CARAC_CHECK(id < stores_.size());
   Store& store = stores_[id];
-  store.delta_known->Clear();
   store.delta_new->Clear();
   const Relation& derived = *store.derived;
-  const RowId begin = derived.watermark();
-  const RowId end = derived.NumRows();
-  if (begin >= end) return 0;
-  store.delta_known->Reserve(end - begin);
-  for (RowId row = begin; row < end; ++row) {
-    store.delta_known->Insert(derived.View(row));
-  }
-  return end - begin;
+  store.delta_hi = derived.NumRows();
+  store.delta_lo = std::min(derived.watermark(), store.delta_hi);
+  return store.delta_hi - store.delta_lo;
 }
 
 void DatabaseSet::AdvanceEpoch() {
@@ -189,27 +157,27 @@ void DatabaseSet::ResetToEdbFacts(RelationId id) {
     facts.push_back(store.derived->View(row).ToTuple());
   }
   store.derived->Clear();
-  store.delta_known->Clear();
   store.delta_new->Clear();
   edb_rows_[id].clear();
   store.derived->Reserve(facts.size());
   for (Tuple& fact : facts) InsertFact(id, std::move(fact));
+  store.delta_lo = store.delta_hi = store.derived->NumRows();
 }
 
 void DatabaseSet::ClearFacts(RelationId id) {
   CARAC_CHECK(id < stores_.size());
   Store& store = stores_[id];
   store.derived->Clear();
-  store.delta_known->Clear();
   store.delta_new->Clear();
+  store.delta_lo = store.delta_hi = 0;
   edb_rows_[id].clear();
 }
 
 void DatabaseSet::ClearAll() {
   for (Store& store : stores_) {
     store.derived->Clear();
-    store.delta_known->Clear();
     store.delta_new->Clear();
+    store.delta_lo = store.delta_hi = 0;
   }
   for (std::vector<RowId>& rows : edb_rows_) rows.clear();
   epoch_ = 0;

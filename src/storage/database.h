@@ -16,18 +16,27 @@ namespace carac::storage {
 /// Dense id of a relation inside a DatabaseSet.
 using RelationId = uint32_t;
 
-/// Which copy of a relation an operator reads or writes (paper §V-D):
-///   Derived    — all facts discovered so far (plus EDB facts),
-///   DeltaKnown — read-only facts discovered in the previous iteration,
-///   DeltaNew   — write-only facts discovered in the current iteration.
-enum class DbKind : uint8_t { kDerived = 0, kDeltaKnown = 1, kDeltaNew = 2 };
+/// Which store of a relation an operator reads or writes (paper §V-D):
+///   Derived  — all facts discovered so far (plus EDB facts),
+///   DeltaNew — write-only facts discovered in the current iteration.
+/// The paper's third store, DeltaKnown (the previous iteration's facts),
+/// is the tail of the append-only Derived arena: a RowWindow, not a store.
+enum class DbKind : uint8_t { kDerived = 0, kDeltaNew = 1 };
 
-const char* DbKindName(DbKind kind);
+/// The Derived rows an atom reads: every row, the "old" rows that predate
+/// the current delta, or the delta itself (the paper's DeltaKnown).
+enum class RowWindow : uint8_t { kAll = 0, kOld = 1, kDelta = 2 };
 
-/// Owns the three stores of every relation plus the symbol table. This is
-/// the paper's pluggable "relational layer": read/write access, clear,
-/// swap and diff, with the relational operators implemented on top by the
-/// interpreter and the compiled backends.
+/// A half-open RowId interval [lo, hi) of a Derived arena.
+struct RowInterval {
+  RowId lo = 0;
+  RowId hi = kAllRows;
+};
+
+/// Owns both stores and the delta window of every relation plus the
+/// symbol table. This is the paper's pluggable "relational layer":
+/// read/write access, clear, swap and diff, with the relational operators
+/// implemented on top by the interpreter and the compiled backends.
 class DatabaseSet {
  public:
   DatabaseSet() = default;
@@ -60,16 +69,18 @@ class DatabaseSet {
   /// before lowering declares the rule indexes.
   void SetIndexKindOverride(RelationId id, size_t column, IndexKind kind);
 
-  /// Declares an index on `column` of all three stores of `id`, using
-  /// the per-column override if one was set, else the default kind.
+  /// Declares an index on `column` of `id`'s Derived store, using the
+  /// per-column override if one was set, else the default kind. DeltaNew
+  /// carries no index: it is only written, and the emit dedup probes its
+  /// dedup table.
   void DeclareIndex(RelationId id, size_t column);
 
-  /// Declares an index on `column` of all three stores of `id` with an
+  /// Declares an index on `column` of `id`'s Derived store with an
   /// explicit organization.
   void DeclareIndex(RelationId id, size_t column, IndexKind kind);
 
-  /// Re-declares, replacing an existing declaration's kind on all three
-  /// stores (snapshot restore: the persisted kind is authoritative).
+  /// Re-declares, replacing an existing declaration's kind on Derived
+  /// (snapshot restore: the persisted kind is authoritative).
   void RedeclareIndex(RelationId id, size_t column, IndexKind kind);
 
   /// Inserts an EDB (or precomputed) fact into Derived; returns true if
@@ -84,22 +95,35 @@ class DatabaseSet {
   void Reserve(RelationId id, size_t rows);
 
   /// End-of-iteration maintenance for the relations of one stratum
-  /// (SwapClearOp, §V-B1): clears the old DeltaKnown, swaps DeltaKnown and
-  /// DeltaNew, then merges the new DeltaKnown into Derived so that during
-  /// the next iteration DeltaKnown is a subset of Derived.
+  /// (SwapClearOp, §V-B1): appends DeltaNew to Derived, makes the appended
+  /// rows the new delta window, and clears DeltaNew.
   void SwapClearMerge(const std::vector<RelationId>& relations);
 
-  /// The RowId bound of `id`'s "old" Derived rows: Derived.NumRows() −
-  /// DeltaKnown.NumRows(). Every DeltaKnown row is the tail of Derived —
-  /// SwapClearMerge appends each one (new to Derived by the emit dedup)
-  /// in DeltaKnown's row order, and SeedDeltaFromWatermark copies the
-  /// rows past the watermark — so the rows below the bound are exactly
-  /// those not in DeltaKnown. CHECKs that invariant once per call, on
-  /// DeltaKnown's first row.
+  /// The RowId bound of `id`'s "old" Derived rows: the delta window's
+  /// start. Every window ends at Derived's last row when it is set, and
+  /// SPJs write DeltaNew, so Derived does not grow while a window is
+  /// read; CHECKs that the window still ends at Derived's row count, once
+  /// per call.
   RowId OldRowLimit(RelationId id) const;
 
-  /// The `diff` termination test: true if any DeltaKnown still has facts.
-  bool AnyDeltaKnownNonEmpty(const std::vector<RelationId>& relations) const;
+  /// The Derived rows `window` selects for `id`: [0, kAllRows) for kAll,
+  /// [0, OldRowLimit) for kOld and the delta window for kDelta (the last
+  /// two CHECK as OldRowLimit does).
+  RowInterval Window(RelationId id, RowWindow window) const {
+    if (window == RowWindow::kAll) return {};
+    const RowId lo = OldRowLimit(id);
+    if (window == RowWindow::kOld) return {0, lo};
+    return {lo, stores_[id].delta_hi};
+  }
+
+  /// Number of rows in `id`'s delta window (no CHECK: statistics read it
+  /// at any time).
+  size_t DeltaSize(RelationId id) const {
+    return stores_[id].delta_hi - stores_[id].delta_lo;
+  }
+
+  /// The `diff` termination test: true if any delta window is non-empty.
+  bool AnyDeltaNonEmpty(const std::vector<RelationId>& relations) const;
 
   // ---- Epoch bookkeeping (incremental evaluation) ----
   //
@@ -117,29 +141,32 @@ class DatabaseSet {
   /// boundary.
   bool ChangedSinceWatermark(RelationId id) const;
 
-  /// Clears both delta stores of `id` (dropping any residue the previous
-  /// evaluation left in DeltaKnown), then seeds DeltaKnown with the
-  /// Derived rows appended past the epoch watermark. Returns the number
-  /// of rows seeded.
+  /// Clears DeltaNew of `id` and sets its delta window to the Derived rows
+  /// appended past the epoch watermark (dropping any window the previous
+  /// evaluation left). Copies nothing. Returns the number of rows in the
+  /// window.
   size_t SeedDeltaFromWatermark(RelationId id);
 
   /// Ends the current epoch: advances every Derived watermark to its
   /// current row count and increments the epoch counter.
   void AdvanceEpoch();
 
-  /// Drops Derived and both deltas of `id` and re-inserts its EDB facts
-  /// (the tuples recorded by InsertFact) — the stratum-recompute reset.
+  /// Drops Derived and DeltaNew of `id` and re-inserts its EDB facts (the
+  /// tuples recorded by InsertFact) — the stratum-recompute reset. The
+  /// delta window is left empty at the end of the re-inserted rows.
   /// Derived facts of the relation are lost by design; EDB facts survive
   /// even when they were appended after derived rows in the arena.
   void ResetToEdbFacts(RelationId id);
 
-  /// Unloads `id` completely: all three stores and the EDB bookkeeping.
+  /// Unloads `id` completely: both stores, the delta window and the EDB
+  /// bookkeeping.
   /// Unlike the capacity-keeping Clear() the evaluator uses on deltas,
   /// this is a full logical delete (test/REPL support for reloading a
   /// relation's fact set).
   void ClearFacts(RelationId id);
 
-  /// Clears Derived and both deltas of every relation (test support).
+  /// Clears both stores and the delta window of every relation (test
+  /// support).
   void ClearAll();
 
   SymbolTable& symbols() { return symbols_; }
@@ -151,9 +178,9 @@ class DatabaseSet {
   // Derived arena verbatim (insertion order and hence RowIds preserved),
   // the EDB row bookkeeping, the per-relation epoch watermarks, the
   // interned-symbol table and the epoch counter — under a versioned
-  // header with per-section checksums. Delta stores are NOT persisted:
-  // at a closed epoch their contents are dead (the next epoch re-seeds
-  // them from the watermarks).
+  // header with per-section checksums. Deltas are NOT persisted: at a
+  // closed epoch they are dead (the next epoch re-seeds them from the
+  // watermarks), so an opened relation has an empty delta window.
 
   /// Writes a snapshot of the current state to `path` (atomically: a
   /// temp file in the same directory is renamed over `path` on success).
@@ -171,10 +198,12 @@ class DatabaseSet {
   util::Status OpenSnapshot(const std::string& path);
 
  private:
+  /// The delta is the Derived RowIds [delta_lo, delta_hi).
   struct Store {
     std::unique_ptr<Relation> derived;
-    std::unique_ptr<Relation> delta_known;
     std::unique_ptr<Relation> delta_new;
+    RowId delta_lo = 0;
+    RowId delta_hi = 0;
   };
 
   std::vector<Store> stores_;

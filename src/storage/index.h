@@ -84,8 +84,8 @@ inline bool IndexKindIsOrdered(IndexKind kind) {
   return kind != IndexKind::kHash;
 }
 
-/// The RowId limit that cuts nothing (RowCursor::Below, and the access
-/// paths of atoms that read every row).
+/// The RowId upper bound that cuts nothing (RowCursor::Window, and the
+/// access paths of atoms that read every row).
 inline constexpr RowId kAllRows = std::numeric_limits<RowId>::max();
 
 /// The result of one index probe: a lightweight view of the matching
@@ -98,8 +98,8 @@ inline constexpr RowId kAllRows = std::numeric_limits<RowId>::max();
 ///
 /// Validity: a cursor borrows the index's internal arrays and stays
 /// valid until the owning relation gains rows — the same aliasing rule
-/// as TupleView. The evaluators never violate it: rules probe
-/// Derived/DeltaKnown and write DeltaNew.
+/// as TupleView. The evaluators never violate it: rules probe Derived
+/// and write DeltaNew.
 class RowCursor {
  public:
   RowCursor() = default;
@@ -127,22 +127,21 @@ class RowCursor {
     for (size_t i = 0; i < size1_; ++i) fn(data1_[i]);
   }
 
-  /// The prefix of RowIds below `limit` (ascending order makes it a
-  /// prefix). Free for kAllRows; otherwise one compare when the last
-  /// RowId is already below, else a binary search of the one span the
-  /// limit falls in.
-  RowCursor Below(RowId limit) const {
-    if (limit == kAllRows) return *this;
-    if (size1_ > 0) {
-      if (data1_[size1_ - 1] < limit) return *this;
-      if (data1_[0] < limit) {
-        return RowCursor(data0_, size0_, data1_, SpanBelow(data1_, size1_,
-                                                           limit));
-      }
-    } else if (size0_ == 0 || data0_[size0_ - 1] < limit) {
-      return *this;
+  /// The RowIds in [lo, hi): ascending order makes them one run, with the
+  /// rows below `lo` a prefix and those at or past `hi` a suffix. Free
+  /// for [0, kAllRows). Both cuts gallop from the back: a delta window is
+  /// Derived's newest rows, so a bucket's delta rows are its suffix, and
+  /// so are the rows past an old-row limit.
+  RowCursor Window(RowId lo, RowId hi) const {
+    if (lo == 0 && hi == kAllRows) return *this;
+    const size_t end = hi == kAllRows ? size() : FirstAtOrAbove(hi);
+    const size_t begin = lo == 0 ? 0 : FirstAtOrAbove(lo);
+    if (begin >= end) return RowCursor();
+    if (begin >= size0_) {
+      return RowCursor(data1_ + (begin - size0_), end - begin);
     }
-    return RowCursor(data0_, SpanBelow(data0_, size0_, limit));
+    if (end <= size0_) return RowCursor(data0_ + begin, end - begin);
+    return RowCursor(data0_ + begin, size0_ - begin, data1_, end - size0_);
   }
 
   /// Range-for support (cold paths; hot loops use ForEach or the spans).
@@ -167,9 +166,30 @@ class RowCursor {
   Iterator end() const { return Iterator(this, size()); }
 
  private:
-  static size_t SpanBelow(const RowId* data, size_t size, RowId limit) {
-    return static_cast<size_t>(std::lower_bound(data, data + size, limit) -
-                               data);
+  /// Position of the first RowId >= `row`, searched in the one span it
+  /// falls in.
+  size_t FirstAtOrAbove(RowId row) const {
+    if (size1_ > 0 && data1_[0] < row) {
+      return size0_ + GallopFromBack(data1_, size1_, row);
+    }
+    return GallopFromBack(data0_, size0_, row);
+  }
+
+  /// lower_bound(data, data + size, row), found by probing back 1, 2, 4,
+  /// ... rows from the end, then binary-searching the last step: one
+  /// compare when every RowId is below `row`, O(log k) for a cut k rows
+  /// from the end.
+  static size_t GallopFromBack(const RowId* data, size_t size, RowId row) {
+    size_t hi = size;  // data[hi, size) >= row.
+    for (size_t step = 1; hi > 0; step *= 2) {
+      const size_t probe = hi > step ? hi - step : 0;
+      if (data[probe] < row) {
+        return static_cast<size_t>(
+            std::lower_bound(data + probe + 1, data + hi, row) - data);
+      }
+      hi = probe;
+    }
+    return 0;
   }
 
   const RowId* data0_ = nullptr;

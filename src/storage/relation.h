@@ -37,7 +37,7 @@ class StagingBuffer;
 /// Readers address rows through TupleView (pointer + arity span into the
 /// arena) and must not hold views across an insert into the *same*
 /// relation (arena growth may reallocate). The evaluator never does:
-/// rules read Derived/DeltaKnown and write DeltaNew.
+/// rules read Derived and write DeltaNew.
 ///
 /// The arena buffer itself is held through a shared_ptr so the serving
 /// layer can pin epoch-snapshot read views (PinView): once a buffer has
@@ -254,8 +254,8 @@ class Relation {
   /// every subsequently inserted row is "new".
   void Clear();
 
-  /// Moves all tuples of `other` into this relation (used by SwapClearOp
-  /// to merge DeltaKnown into Derived). `other` is cleared.
+  /// Moves all tuples of `other` into this relation. `other` is
+  /// cleared.
   void Absorb(Relation* other);
 
   /// Bulk-merges one worker's staging buffer into this relation in staged

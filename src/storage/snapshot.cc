@@ -303,8 +303,8 @@ util::Status DatabaseSet::OpenSnapshot(const std::string& path) {
     }
     Store& store = stores_[id];
     store.derived->LoadContents(std::move(arena), num_rows, watermark);
-    store.delta_known->Clear();
     store.delta_new->Clear();
+    store.delta_lo = store.delta_hi = store.derived->NumRows();
     edb_rows_[id] = std::move(edb);
   }
 

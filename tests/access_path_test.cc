@@ -3,7 +3,8 @@
 // AccessPath unit tests: for every index kind and every path kind, Open()
 // yields a sequence whose filtered rows equal the filtered full scan in
 // ascending RowId order, and Size() decides identically while recording
-// nothing. An old-only atom sees exactly the rows below OldRowLimit.
+// nothing. An old-only atom sees exactly the rows below OldRowLimit, a
+// delta atom exactly the delta window.
 //
 // Profiler parity: the push and pull engines open the same paths, so they
 // must leave identical per-(relation, column) probe counters on the same
@@ -14,6 +15,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/factgen.h"
@@ -31,6 +33,7 @@ namespace {
 using storage::IndexKind;
 using storage::Relation;
 using storage::RowId;
+using storage::RowWindow;
 using storage::Value;
 
 constexpr IndexKind kAllKinds[] = {IndexKind::kHash, IndexKind::kSorted,
@@ -40,17 +43,12 @@ constexpr datalog::PredicateId kPred = 3;
 constexpr LocalVar kX = 0;
 constexpr LocalVar kY = 1;
 
-/// R(k, v): 200 rows, k = i % 17 (duplicate-heavy), v = i (unique), with
-/// both columns indexed by `kind`.
-void Fill(Relation* rel, IndexKind kind) {
-  rel->DeclareIndex(0, kind);
-  rel->DeclareIndex(1, kind);
-  for (Value i = 0; i < 200; ++i) rel->Insert({i % 17, i});
-}
+constexpr RowId kRows = 200;
 
-/// A DatabaseSet whose relation kPred is R: Fill'ed Derived, and a
-/// DeltaKnown holding Derived's last `delta_rows` rows (the merge's tail
-/// invariant), so OldRowLimit(kPred) == 200 - delta_rows.
+/// A DatabaseSet whose relation kPred is R(k, v): 200 rows, k = i % 17
+/// (duplicate-heavy), v = i (unique), with both columns indexed by `kind`.
+/// The last `delta_rows` rows go through DeltaNew and the merge, so they
+/// are the delta window and OldRowLimit(kPred) == 200 - delta_rows.
 struct FilledDb {
   storage::DatabaseSet db;
 
@@ -58,15 +56,31 @@ struct FilledDb {
     for (datalog::PredicateId p = 0; p <= kPred; ++p) {
       db.AddRelation("R" + std::to_string(p), 2);
     }
-    Fill(&rel(), kind);
-    Relation& known = db.Get(kPred, storage::DbKind::kDeltaKnown);
-    for (RowId row = rel().NumRows() - delta_rows; row < rel().NumRows();
-         ++row) {
-      known.Insert(rel().View(row));
+    db.DeclareIndex(kPred, 0, kind);
+    db.DeclareIndex(kPred, 1, kind);
+    Relation& fresh = db.Get(kPred, storage::DbKind::kDeltaNew);
+    for (Value i = 0; i < static_cast<Value>(kRows); ++i) {
+      (i < static_cast<Value>(kRows - delta_rows) ? rel() : fresh)
+          .Insert({i % 17, i});
     }
+    db.SwapClearMerge({kPred});
   }
   Relation& rel() { return db.Get(kPred, storage::DbKind::kDerived); }
 };
+
+/// The RowIds [lo, hi) `window` selects when the last `delta_rows` of the
+/// 200 rows are the delta.
+std::pair<RowId, RowId> Expected(RowWindow window, RowId delta_rows) {
+  switch (window) {
+    case RowWindow::kAll:
+      break;
+    case RowWindow::kOld:
+      return {0, kRows - delta_rows};
+    case RowWindow::kDelta:
+      return {kRows - delta_rows, kRows};
+  }
+  return {0, kRows};
+}
 
 AtomSpec Atom(LocalTerm k, LocalTerm v) {
   AtomSpec atom;
@@ -118,20 +132,22 @@ struct Expectation {
   bool exact;  // The sequence holds only matching rows (probe taken).
 };
 
-/// Opens `atom` on a fresh R of `kind` and checks the layer's contract.
-/// With `delta_rows` > 0 the atom is opened old-only over a DeltaKnown of
-/// R's last `delta_rows` rows, and must see exactly the rows below them.
+/// Opens `atom` reading `window` on a fresh R of `kind` whose last
+/// `delta_rows` rows are the delta, and checks the layer's contract: the
+/// atom sees exactly the window's rows.
 void CheckOpen(IndexKind kind, const AtomSpec& spec,
                const std::vector<bool>& bound, const Value* binding,
-               const Expectation& expect, RowId delta_rows = 0) {
+               const Expectation& expect, RowWindow window = RowWindow::kAll,
+               RowId delta_rows = 0) {
   SCOPED_TRACE(storage::IndexKindName(kind));
-  SCOPED_TRACE("delta_rows=" + std::to_string(delta_rows));
+  SCOPED_TRACE("window=" + std::to_string(static_cast<int>(window)) +
+               " delta_rows=" + std::to_string(delta_rows));
   FilledDb filled(kind, delta_rows);
   const Relation& rel = filled.rel();
   AtomSpec atom = spec;
-  atom.old_only = delta_rows > 0;
-  const RowId limit = rel.NumRows() - delta_rows;
-  ASSERT_EQ(filled.db.OldRowLimit(kPred), limit);
+  atom.window = window;
+  const auto [lo, hi] = Expected(window, delta_rows);
+  ASSERT_EQ(filled.db.OldRowLimit(kPred), kRows - delta_rows);
   AccessProfiler profiler;
   AccessPath path = AccessPath::Resolve(filled.db, atom, bound, &profiler);
   ASSERT_EQ(path.kind(), expect.kind);
@@ -151,7 +167,7 @@ void CheckOpen(IndexKind kind, const AtomSpec& spec,
     if (Matches(rel, row, atom, bound, binding)) filtered_open.push_back(row);
   }
   std::vector<RowId> filtered_scan;
-  for (RowId row = 0; row < limit; ++row) {
+  for (RowId row = lo; row < hi; ++row) {
     if (Matches(rel, row, atom, bound, binding)) filtered_scan.push_back(row);
   }
   EXPECT_FALSE(filtered_scan.empty());
@@ -159,7 +175,7 @@ void CheckOpen(IndexKind kind, const AtomSpec& spec,
   if (expect.exact) {
     EXPECT_EQ(opened, filtered_scan);
   } else {
-    EXPECT_EQ(opened.size(), limit) << "declined opens as a scan";
+    EXPECT_EQ(opened.size(), hi - lo) << "declined opens as a scan";
   }
 
   // Exactly one probe recorded per Open of a probing path.
@@ -169,6 +185,9 @@ void CheckOpen(IndexKind kind, const AtomSpec& spec,
     return sum;
   }();
   EXPECT_EQ(total.point_probes,
+            expect.kind == AccessPath::Kind::kPoint ? 1u : 0u);
+  // A hit is a point probe with rows inside the window.
+  EXPECT_EQ(total.point_hits,
             expect.kind == AccessPath::Kind::kPoint ? 1u : 0u);
   EXPECT_EQ(total.range_probes,
             expect.kind == AccessPath::Kind::kRange ? 1u : 0u);
@@ -229,18 +248,47 @@ TEST(AccessPathTest, OldOnlyAtomsStopBelowTheDelta) {
   for (RowId delta_rows : {1u, 50u, 199u}) {
     for (IndexKind kind : kAllKinds) {
       CheckOpen(kind, Atom(LocalTerm::Var(kX), LocalTerm::Var(kY)), none, zero,
-                {AccessPath::Kind::kScan, /*exact=*/true}, delta_rows);
+                {AccessPath::Kind::kScan, /*exact=*/true}, RowWindow::kOld,
+                delta_rows);
       CheckOpen(kind, Atom(LocalTerm::Const(0), LocalTerm::Var(kY)), none,
-                zero, {AccessPath::Kind::kPoint, /*exact=*/true}, delta_rows);
+                zero, {AccessPath::Kind::kPoint, /*exact=*/true},
+                RowWindow::kOld, delta_rows);
       if (delta_rows < 190) {
         CheckOpen(kind, Atom(LocalTerm::Var(kX), LocalTerm::Var(kY)),
                   x_bound, x_is_3, {AccessPath::Kind::kPoint, /*exact=*/true},
-                  delta_rows);
+                  RowWindow::kOld, delta_rows);
       }
       CheckOpen(kind, RangeAtom(0, 30), none, zero,
                 {AccessPath::Kind::kRange,
                  /*exact=*/storage::IndexKindIsOrdered(kind)},
+                RowWindow::kOld, delta_rows);
+    }
+  }
+}
+
+TEST(AccessPathTest, DeltaAtomsReadOnlyTheDelta) {
+  // Windows of the last 20 rows, the back half and all but row 0. Each
+  // holds a k = 0 and a k = 3 row and values in [170, 190), so every
+  // open has matches (CheckOpen's non-empty oracle).
+  const std::vector<bool> none(2, false);
+  const std::vector<bool> x_bound = {true, false};
+  const Value zero[2] = {0, 0};
+  const Value x_is_3[2] = {3, 0};
+  for (RowId delta_rows : {20u, 100u, 199u}) {
+    for (IndexKind kind : kAllKinds) {
+      CheckOpen(kind, Atom(LocalTerm::Var(kX), LocalTerm::Var(kY)), none, zero,
+                {AccessPath::Kind::kScan, /*exact=*/true}, RowWindow::kDelta,
                 delta_rows);
+      CheckOpen(kind, Atom(LocalTerm::Const(0), LocalTerm::Var(kY)), none,
+                zero, {AccessPath::Kind::kPoint, /*exact=*/true},
+                RowWindow::kDelta, delta_rows);
+      CheckOpen(kind, Atom(LocalTerm::Var(kX), LocalTerm::Var(kY)), x_bound,
+                x_is_3, {AccessPath::Kind::kPoint, /*exact=*/true},
+                RowWindow::kDelta, delta_rows);
+      CheckOpen(kind, RangeAtom(170, 190), none, zero,
+                {AccessPath::Kind::kRange,
+                 /*exact=*/storage::IndexKindIsOrdered(kind)},
+                RowWindow::kDelta, delta_rows);
     }
   }
 }
@@ -257,17 +305,24 @@ TEST(AccessPathTest, PointProbeBeatsRange) {
 }
 
 TEST(AccessPathTest, OpenBatchMatchesPointProbesAndRecordsOnce) {
-  // With 50 delta rows the atom is old-only: each cursor is the bucket's
-  // prefix below RowId 150, and the counters still record the probes.
-  for (RowId delta_rows : {0u, 50u}) {
+  // Every cursor is the bucket cut to the atom's window: all rows, the
+  // old rows below RowId 150, or a delta of the last 1, 50 or 150 rows.
+  // Every key counts as a probe; a hit is a key with rows in the window.
+  const std::pair<RowWindow, RowId> cases[] = {
+      {RowWindow::kAll, 0},     {RowWindow::kOld, 50},
+      {RowWindow::kDelta, 1},   {RowWindow::kDelta, 50},
+      {RowWindow::kDelta, 150},
+  };
+  for (const auto& [window, delta_rows] : cases) {
     for (IndexKind kind : kAllKinds) {
       SCOPED_TRACE(storage::IndexKindName(kind));
-      SCOPED_TRACE("delta_rows=" + std::to_string(delta_rows));
+      SCOPED_TRACE("window=" + std::to_string(static_cast<int>(window)) +
+                   " delta_rows=" + std::to_string(delta_rows));
       FilledDb filled(kind, delta_rows);
       const Relation& rel = filled.rel();
-      const RowId limit = rel.NumRows() - delta_rows;
+      const auto [lo, hi] = Expected(window, delta_rows);
       AtomSpec atom = Atom(LocalTerm::Var(kX), LocalTerm::Var(kY));
-      atom.old_only = delta_rows > 0;
+      atom.window = window;
       AccessProfiler profiler;
       const AccessPath path =
           AccessPath::Resolve(filled.db, atom, {true, false}, &profiler);
@@ -276,19 +331,24 @@ TEST(AccessPathTest, OpenBatchMatchesPointProbesAndRecordsOnce) {
       const Value keys[] = {1, 1, 40, 16, 0};
       storage::RowCursor cursors[5];
       path.OpenBatch(keys, 5, cursors);
+      uint64_t hits = 0;
       for (size_t k = 0; k < 5; ++k) {
         std::vector<RowId> batched;
         std::vector<RowId> single;
         cursors[k].ForEach([&](RowId row) { batched.push_back(row); });
         rel.Probe(0, keys[k]).ForEach([&](RowId row) {
-          if (row < limit) single.push_back(row);
+          if (row >= lo && row < hi) single.push_back(row);
         });
         EXPECT_EQ(batched, single) << "key " << keys[k];
+        hits += !single.empty();
       }
       const ColumnProbeStats& stats = profiler.counters().at({kPred, 0});
       EXPECT_EQ(stats.batch_windows, 1u);
       EXPECT_EQ(stats.point_probes, 5u);
-      EXPECT_EQ(stats.point_hits, 4u);  // Key 40 matches nothing.
+      EXPECT_EQ(stats.point_hits, hits);
+      if (window == RowWindow::kAll) {
+        EXPECT_EQ(hits, 4u);  // Key 40 matches nothing.
+      }
     }
   }
 }

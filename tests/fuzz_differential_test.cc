@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <map>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -40,13 +41,26 @@ constexpr int64_t kDomain = 12;
 /// (in generation order) instead of being inserted — the
 /// incremental-vs-batch oracle replays them in random batches through
 /// Engine::AddFacts + Update().
+///
+/// With `fuzz.lower_stratum` the program also gets the lower-stratum
+/// shape (see below); without it, a seed generates the same program as
+/// before that option existed.
+struct FuzzCase {
+  uint64_t seed = 0;
+  bool lower_stratum = false;
+};
+
+void PrintTo(const FuzzCase& fuzz, std::ostream* os) {
+  *os << "seed " << fuzz.seed << (fuzz.lower_stratum ? " lower-stratum" : "");
+}
+
 struct RandomProgram {
   std::unique_ptr<Program> program;
   std::vector<datalog::PredicateId> idb;
   std::vector<std::pair<datalog::PredicateId, storage::Tuple>> facts;
 
-  explicit RandomProgram(uint64_t seed, bool insert_facts = true) {
-    util::Rng rng(seed);
+  explicit RandomProgram(const FuzzCase& fuzz, bool insert_facts = true) {
+    util::Rng rng(fuzz.seed);
     program = std::make_unique<Program>();
     datalog::Dsl dsl(program.get());
 
@@ -79,91 +93,147 @@ struct RandomProgram {
     std::vector<datalog::VarRef> vars;
     for (int v = 0; v < 4; ++v) vars.push_back(dsl.Var());
 
+    // One random rule for `head_rel` whose positive atoms read `pool`.
+    auto add_rule = [&](const datalog::RelationRef& head_rel,
+                        const std::vector<datalog::RelationRef>& pool) {
+      datalog::Rule rule;
+
+      // Body: 1-3 positive atoms over random relations and variables.
+      const int body_atoms = 1 + static_cast<int>(rng.NextBounded(3));
+      std::set<datalog::VarId> bound;
+      for (int a = 0; a < body_atoms; ++a) {
+        const auto& rel = pool[rng.NextBounded(pool.size())];
+        datalog::Atom atom;
+        atom.predicate = rel.id();
+        for (int t = 0; t < 2; ++t) {
+          if (rng.NextBool(0.15)) {
+            atom.terms.push_back(datalog::Term::MakeConst(
+                static_cast<int64_t>(rng.NextBounded(kDomain))));
+          } else {
+            const auto var = vars[rng.NextBounded(vars.size())];
+            atom.terms.push_back(datalog::Term::MakeVar(var.id));
+            bound.insert(var.id);
+          }
+        }
+        rule.body.push_back(std::move(atom));
+      }
+      std::vector<datalog::VarId> bound_list(bound.begin(), bound.end());
+
+      // Comparison builtins: 0-2 per rule, each constraining a bound
+      // variable against a constant or another bound variable, in
+      // either direction (both `x < c` and `c < x` spellings).
+      // Random constants make redundant and contradictory pairs
+      // (x < 2, x > 9) common — exactly the interval-closing and
+      // empty-range corners range pushdown must absorb while staying
+      // model-identical to the filtered scan.
+      if (!bound_list.empty()) {
+        const int num_cmps = static_cast<int>(rng.NextBounded(3));
+        static const datalog::BuiltinOp kCmps[] = {
+            datalog::BuiltinOp::kLt, datalog::BuiltinOp::kLe,
+            datalog::BuiltinOp::kGt, datalog::BuiltinOp::kGe,
+            datalog::BuiltinOp::kEq, datalog::BuiltinOp::kNe};
+        for (int c = 0; c < num_cmps; ++c) {
+          datalog::Atom cmp;
+          cmp.builtin = kCmps[rng.NextBounded(6)];
+          const datalog::Term var_side = datalog::Term::MakeVar(
+              bound_list[rng.NextBounded(bound_list.size())]);
+          const datalog::Term other =
+              rng.NextBool(0.5)
+                  ? datalog::Term::MakeConst(
+                        static_cast<int64_t>(rng.NextBounded(kDomain)))
+                  : datalog::Term::MakeVar(
+                        bound_list[rng.NextBounded(bound_list.size())]);
+          const bool var_left = rng.NextBool(0.5);
+          cmp.terms.push_back(var_left ? var_side : other);
+          cmp.terms.push_back(var_left ? other : var_side);
+          rule.body.push_back(std::move(cmp));
+        }
+      }
+
+      // Optional negated EDB atom over bound variables (stratified and
+      // safe by construction).
+      if (!bound_list.empty() && rng.NextBool(0.25)) {
+        datalog::Atom neg;
+        neg.predicate = edb[rng.NextBounded(edb.size())].id();
+        neg.negated = true;
+        for (int t = 0; t < 2; ++t) {
+          neg.terms.push_back(datalog::Term::MakeVar(
+              bound_list[rng.NextBounded(bound_list.size())]));
+        }
+        rule.body.push_back(std::move(neg));
+      }
+
+      // Head: two terms drawn from bound variables (or constants when
+      // the body bound nothing).
+      rule.head.predicate = head_rel.id();
+      for (int t = 0; t < 2; ++t) {
+        if (bound_list.empty()) {
+          rule.head.terms.push_back(datalog::Term::MakeConst(
+              static_cast<int64_t>(rng.NextBounded(kDomain))));
+        } else {
+          rule.head.terms.push_back(datalog::Term::MakeVar(
+              bound_list[rng.NextBounded(bound_list.size())]));
+        }
+      }
+      CARAC_CHECK_OK(program->AddRule(std::move(rule)));
+    };
+
     // Rules. Every IDB relation gets 1-3 rules.
     for (const auto& head_rel : idb_refs) {
       const int num_rules = 1 + static_cast<int>(rng.NextBounded(3));
-      for (int r = 0; r < num_rules; ++r) {
-        datalog::Rule rule;
+      for (int r = 0; r < num_rules; ++r) add_rule(head_rel, all);
+    }
 
-        // Body: 1-3 positive atoms over random relations and variables.
-        const int body_atoms = 1 + static_cast<int>(rng.NextBounded(3));
-        std::set<datalog::VarId> bound;
-        for (int a = 0; a < body_atoms; ++a) {
-          const auto& rel = all[rng.NextBounded(all.size())];
-          datalog::Atom atom;
-          atom.predicate = rel.id();
-          for (int t = 0; t < 2; ++t) {
-            if (rng.NextBool(0.15)) {
-              atom.terms.push_back(datalog::Term::MakeConst(
-                  static_cast<int64_t>(rng.NextBounded(kDomain))));
-            } else {
-              const auto var = vars[rng.NextBounded(vars.size())];
-              atom.terms.push_back(datalog::Term::MakeVar(var.id));
-              bound.insert(var.id);
-            }
-          }
-          rule.body.push_back(std::move(atom));
-        }
-        std::vector<datalog::VarId> bound_list(bound.begin(), bound.end());
-
-        // Comparison builtins: 0-2 per rule, each constraining a bound
-        // variable against a constant or another bound variable, in
-        // either direction (both `x < c` and `c < x` spellings).
-        // Random constants make redundant and contradictory pairs
-        // (x < 2, x > 9) common — exactly the interval-closing and
-        // empty-range corners range pushdown must absorb while staying
-        // model-identical to the filtered scan.
-        if (!bound_list.empty()) {
-          const int num_cmps = static_cast<int>(rng.NextBounded(3));
-          static const datalog::BuiltinOp kCmps[] = {
-              datalog::BuiltinOp::kLt, datalog::BuiltinOp::kLe,
-              datalog::BuiltinOp::kGt, datalog::BuiltinOp::kGe,
-              datalog::BuiltinOp::kEq, datalog::BuiltinOp::kNe};
-          for (int c = 0; c < num_cmps; ++c) {
-            datalog::Atom cmp;
-            cmp.builtin = kCmps[rng.NextBounded(6)];
-            const datalog::Term var_side = datalog::Term::MakeVar(
-                bound_list[rng.NextBounded(bound_list.size())]);
-            const datalog::Term other =
-                rng.NextBool(0.5)
-                    ? datalog::Term::MakeConst(
-                          static_cast<int64_t>(rng.NextBounded(kDomain)))
-                    : datalog::Term::MakeVar(
-                          bound_list[rng.NextBounded(bound_list.size())]);
-            const bool var_left = rng.NextBool(0.5);
-            cmp.terms.push_back(var_left ? var_side : other);
-            cmp.terms.push_back(var_left ? other : var_side);
-            rule.body.push_back(std::move(cmp));
-          }
-        }
-
-        // Optional negated EDB atom over bound variables (stratified and
-        // safe by construction).
-        if (!bound_list.empty() && rng.NextBool(0.25)) {
-          datalog::Atom neg;
-          neg.predicate = edb[rng.NextBounded(edb.size())].id();
-          neg.negated = true;
-          for (int t = 0; t < 2; ++t) {
-            neg.terms.push_back(datalog::Term::MakeVar(
-                bound_list[rng.NextBounded(bound_list.size())]));
-          }
-          rule.body.push_back(std::move(neg));
-        }
-
-        // Head: two terms drawn from bound variables (or constants when
-        // the body bound nothing).
-        rule.head.predicate = head_rel.id();
-        for (int t = 0; t < 2; ++t) {
-          if (bound_list.empty()) {
-            rule.head.terms.push_back(datalog::Term::MakeConst(
-                static_cast<int64_t>(rng.NextBounded(kDomain))));
-          } else {
-            rule.head.terms.push_back(datalog::Term::MakeVar(
-                bound_list[rng.NextBounded(bound_list.size())]));
-          }
-        }
-        CARAC_CHECK_OK(program->AddRule(std::move(rule)));
+    // The lower-stratum shape: L0 reads only relations defined before it,
+    // so it is a non-recursive stratum of its own, and R0 closes over it
+    // with a recursive rule that reads an L0 atom before its R0 atom, the
+    // one its loop variant reads the delta at. In R0's loop L0's rows are
+    // all its init pass's delta window, not old rows, so an old-only bound
+    // on that atom would leave R0 at its base rules.
+    if (fuzz.lower_stratum) {
+      auto lower = dsl.Relation("L0", 2);
+      auto rec = dsl.Relation("R0", 2);
+      idb.push_back(lower.id());
+      idb.push_back(rec.id());
+      // Distinct variables, so no rule below collapses into a filter of
+      // what its head already holds.
+      std::vector<datalog::VarId> v;
+      for (const datalog::VarRef& var : vars) v.push_back(var.id);
+      for (size_t i = v.size() - 1; i > 0; --i) {
+        std::swap(v[i], v[rng.NextBounded(i + 1)]);
       }
+      auto atom = [](datalog::PredicateId pred, datalog::VarId x,
+                     datalog::VarId y) {
+        datalog::Atom out;
+        out.predicate = pred;
+        out.terms = {datalog::Term::MakeVar(x), datalog::Term::MakeVar(y)};
+        return out;
+      };
+      // L0(a, b) :- Ek(a, b): a random EDB's edges keep L0 dense enough
+      // to chain, then 0-1 random rules.
+      datalog::Rule copy;
+      copy.body.push_back(
+          atom(edb[rng.NextBounded(edb.size())].id(), v[0], v[1]));
+      copy.head = atom(lower.id(), v[0], v[1]);
+      CARAC_CHECK_OK(program->AddRule(std::move(copy)));
+      if (rng.NextBool(0.5)) add_rule(lower, all);
+      all.push_back(lower);
+      // R0(a, b) :- L0(a, b), and now and then a random base rule.
+      datalog::Rule base;
+      base.body.push_back(atom(lower.id(), v[0], v[1]));
+      base.head = atom(rec.id(), v[0], v[1]);
+      CARAC_CHECK_OK(program->AddRule(std::move(base)));
+      if (rng.NextBool(0.5)) add_rule(rec, all);
+      // R0(a, c) :- L0(a, b), R0(b, c)[, X(c, d)].
+      datalog::Rule step;
+      step.body.push_back(atom(lower.id(), v[0], v[1]));
+      step.body.push_back(atom(rec.id(), v[1], v[2]));
+      if (rng.NextBool(0.5)) {
+        step.body.push_back(
+            atom(all[rng.NextBounded(all.size())].id(), v[2], v[3]));
+      }
+      step.head = atom(rec.id(), v[0], v[2]);
+      CARAC_CHECK_OK(program->AddRule(std::move(step)));
     }
 
     // Occasional aggregate head over a random relation: A(g, out) with
@@ -201,8 +271,8 @@ struct RandomProgram {
 
 using Model = std::vector<std::vector<storage::Tuple>>;
 
-Model Evaluate(uint64_t seed, const core::EngineConfig& config) {
-  RandomProgram rp(seed);
+Model Evaluate(const FuzzCase& fuzz, const core::EngineConfig& config) {
+  RandomProgram rp(fuzz);
   core::Engine engine(rp.program.get(), config);
   CARAC_CHECK_OK(engine.Prepare());
   CARAC_CHECK_OK(engine.Run());
@@ -240,7 +310,7 @@ Model EvaluateNaive(Program* program,
     do {
       for (ir::IROp* pass : passes) interp.ExecuteNode(*pass);
       db.SwapClearMerge(relations);
-    } while (db.AnyDeltaKnownNonEmpty(relations));
+    } while (db.AnyDeltaNonEmpty(relations));
   }
   Model model;
   for (datalog::PredicateId id : idb) {
@@ -249,8 +319,8 @@ Model EvaluateNaive(Program* program,
   return model;
 }
 
-Model EvaluateNaive(uint64_t seed) {
-  RandomProgram rp(seed);
+Model EvaluateNaive(const FuzzCase& fuzz) {
+  RandomProgram rp(fuzz);
   return EvaluateNaive(rp.program.get(), rp.idb);
 }
 
@@ -259,10 +329,11 @@ Model EvaluateNaive(uint64_t seed) {
 /// initial Run(), the rest applied through AddFacts() + Update() epochs.
 /// The final model must be byte-identical to one-shot evaluation over
 /// the union of the facts (the `Evaluate` reference).
-Model EvaluateIncremental(uint64_t seed, const core::EngineConfig& config,
+Model EvaluateIncremental(const FuzzCase& fuzz,
+                          const core::EngineConfig& config,
                           int num_batches) {
-  RandomProgram rp(seed, /*insert_facts=*/false);
-  util::Rng batch_rng(seed * 7919 + 13);
+  RandomProgram rp(fuzz, /*insert_facts=*/false);
+  util::Rng batch_rng(fuzz.seed * 7919 + 13);
   std::vector<std::vector<std::pair<datalog::PredicateId, storage::Tuple>>>
       batches(num_batches);
   for (const auto& fact : rp.facts) {
@@ -293,11 +364,11 @@ Model EvaluateIncremental(uint64_t seed, const core::EngineConfig& config,
 /// AND a fact-log tail exist), then a FRESH program + DatabaseSet is
 /// recovered via Engine::Restore and the remaining `num_batches` batches
 /// continue there. The final model must equal the uninterrupted run's.
-Model EvaluatePersisted(uint64_t seed, const core::EngineConfig& base,
+Model EvaluatePersisted(const FuzzCase& fuzz, const core::EngineConfig& base,
                         int num_batches, const std::string& scratch_name) {
   const int total_batches = 2 * num_batches;
-  RandomProgram rp(seed, /*insert_facts=*/false);
-  util::Rng batch_rng(seed * 7919 + 13);
+  RandomProgram rp(fuzz, /*insert_facts=*/false);
+  util::Rng batch_rng(fuzz.seed * 7919 + 13);
   std::vector<std::vector<std::pair<datalog::PredicateId, storage::Tuple>>>
       batches(total_batches);
   for (const auto& fact : rp.facts) {
@@ -307,7 +378,8 @@ Model EvaluatePersisted(uint64_t seed, const core::EngineConfig& base,
 
   const std::filesystem::path dir =
       std::filesystem::path(::testing::TempDir()) /
-      ("carac_fuzz_" + scratch_name + "_" + std::to_string(seed));
+      ("carac_fuzz_" + scratch_name + "_" + std::to_string(fuzz.seed) +
+       (fuzz.lower_stratum ? "_lower" : ""));
   std::filesystem::remove_all(dir);
   core::EngineConfig config = base;
   config.snapshot_dir = dir.string();
@@ -338,7 +410,7 @@ Model EvaluatePersisted(uint64_t seed, const core::EngineConfig& base,
 
   // Second life: fresh everything, recovered from disk, then the
   // remaining batches as ordinary incremental epochs.
-  RandomProgram fresh(seed, /*insert_facts=*/false);
+  RandomProgram fresh(fuzz, /*insert_facts=*/false);
   for (const auto& [pred, tuple] : batches[0]) {
     fresh.program->AddFact(pred, tuple);
   }
@@ -359,30 +431,30 @@ Model EvaluatePersisted(uint64_t seed, const core::EngineConfig& base,
   return model;
 }
 
-class FuzzDifferential : public ::testing::TestWithParam<uint64_t> {};
+class FuzzDifferential : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(FuzzDifferential, AllConfigurationsAgree) {
-  const uint64_t seed = GetParam();
+  const FuzzCase& fuzz = GetParam();
   const Model reference =
-      Evaluate(seed, core::EngineConfig{});  // Push, indexed, interpreted.
+      Evaluate(fuzz, core::EngineConfig{});  // Push, indexed, interpreted.
 
-  EXPECT_EQ(EvaluateNaive(seed), reference) << "naive oracle";
+  EXPECT_EQ(EvaluateNaive(fuzz), reference) << "naive oracle";
   {
     core::EngineConfig config;
     config.use_indexes = false;
-    EXPECT_EQ(Evaluate(seed, config), reference) << "unindexed";
+    EXPECT_EQ(Evaluate(fuzz, config), reference) << "unindexed";
   }
   {
     core::EngineConfig config;
     config.engine_style = ir::EngineStyle::kPull;
-    EXPECT_EQ(Evaluate(seed, config), reference) << "pull";
+    EXPECT_EQ(Evaluate(fuzz, config), reference) << "pull";
   }
   for (storage::IndexKind kind :
        {storage::IndexKind::kSorted, storage::IndexKind::kBtree,
         storage::IndexKind::kSortedArray, storage::IndexKind::kLearned}) {
     core::EngineConfig config;
     config.index_kind = kind;
-    EXPECT_EQ(Evaluate(seed, config), reference)
+    EXPECT_EQ(Evaluate(fuzz, config), reference)
         << storage::IndexKindName(kind) << " index";
   }
   {
@@ -394,12 +466,12 @@ TEST_P(FuzzDifferential, AllConfigurationsAgree) {
     config.adaptive.min_probes = 1;
     config.adaptive.hysteresis_epochs = 1;
     config.adaptive.cooldown_epochs = 0;
-    EXPECT_EQ(Evaluate(seed, config), reference) << "adaptive";
+    EXPECT_EQ(Evaluate(fuzz, config), reference) << "adaptive";
   }
   {
     core::EngineConfig config;
     config.aot_reorder = true;
-    EXPECT_EQ(Evaluate(seed, config), reference) << "aot";
+    EXPECT_EQ(Evaluate(fuzz, config), reference) << "aot";
   }
   {
     // The filter-scan path (pushdown off) is the semantic baseline the
@@ -407,7 +479,7 @@ TEST_P(FuzzDifferential, AllConfigurationsAgree) {
     // pushdown on (the default).
     core::EngineConfig config;
     config.range_pushdown = false;
-    EXPECT_EQ(Evaluate(seed, config), reference) << "pushdown off";
+    EXPECT_EQ(Evaluate(fuzz, config), reference) << "pushdown off";
   }
   for (storage::IndexKind kind :
        {storage::IndexKind::kBtree, storage::IndexKind::kLearned}) {
@@ -420,7 +492,7 @@ TEST_P(FuzzDifferential, AllConfigurationsAgree) {
       config.jit.granularity = core::Granularity::kUnionAll;
       config.index_kind = kind;
       config.range_pushdown = pushdown;
-      EXPECT_EQ(Evaluate(seed, config), reference)
+      EXPECT_EQ(Evaluate(fuzz, config), reference)
           << "bytecode " << storage::IndexKindName(kind) << " pushdown "
           << (pushdown ? "on" : "off");
     }
@@ -432,7 +504,7 @@ TEST_P(FuzzDifferential, AllConfigurationsAgree) {
     config.mode = core::EvalMode::kJit;
     config.jit.backend = backend;
     config.jit.granularity = core::Granularity::kUnionAll;
-    EXPECT_EQ(Evaluate(seed, config), reference)
+    EXPECT_EQ(Evaluate(fuzz, config), reference)
         << backends::BackendKindName(backend);
   }
   {
@@ -440,14 +512,14 @@ TEST_P(FuzzDifferential, AllConfigurationsAgree) {
     config.mode = core::EvalMode::kJit;
     config.jit.backend = backends::BackendKind::kBytecode;
     config.jit.async = true;
-    EXPECT_EQ(Evaluate(seed, config), reference) << "bytecode async";
+    EXPECT_EQ(Evaluate(fuzz, config), reference) << "bytecode async";
   }
   {
     core::EngineConfig config;
     config.mode = core::EvalMode::kJit;
     config.jit.backend = backends::BackendKind::kLambda;
     config.jit.mode = backends::CompileMode::kSnippet;
-    EXPECT_EQ(Evaluate(seed, config), reference) << "lambda snippet";
+    EXPECT_EQ(Evaluate(fuzz, config), reference) << "lambda snippet";
   }
   // Parallel evaluation, crossed with both relational engines and both
   // index organizations. The random programs are tiny, so the dispatch
@@ -467,7 +539,7 @@ TEST_P(FuzzDifferential, AllConfigurationsAgree) {
           config.engine_style = style;
           config.index_kind = kind;
           config.range_pushdown = pushdown;
-          EXPECT_EQ(Evaluate(seed, config), reference)
+          EXPECT_EQ(Evaluate(fuzz, config), reference)
               << threads << " threads, " << ir::EngineStyleName(style)
               << " engine, " << storage::IndexKindName(kind)
               << " index, pushdown " << (pushdown ? "on" : "off");
@@ -484,8 +556,8 @@ TEST_P(FuzzDifferential, AllConfigurationsAgree) {
 // thread count (dispatch threshold forced to 1 so the staged-merge path
 // runs even on these tiny deltas).
 TEST_P(FuzzDifferential, IncrementalMatchesBatch) {
-  const uint64_t seed = GetParam();
-  const Model reference = Evaluate(seed, core::EngineConfig{});
+  const FuzzCase& fuzz = GetParam();
+  const Model reference = Evaluate(fuzz, core::EngineConfig{});
 
   for (int num_batches : {2, 4}) {
     for (int threads : {1, 2, 4}) {
@@ -495,7 +567,7 @@ TEST_P(FuzzDifferential, IncrementalMatchesBatch) {
         config.num_threads = threads;
         config.parallel_min_outer_rows = 1;
         config.engine_style = style;
-        EXPECT_EQ(EvaluateIncremental(seed, config, num_batches), reference)
+        EXPECT_EQ(EvaluateIncremental(fuzz, config, num_batches), reference)
             << num_batches << " batches, " << threads << " threads, "
             << ir::EngineStyleName(style) << " engine";
       }
@@ -508,7 +580,7 @@ TEST_P(FuzzDifferential, IncrementalMatchesBatch) {
     config.mode = core::EvalMode::kJit;
     config.jit.backend = backends::BackendKind::kBytecode;
     config.jit.granularity = core::Granularity::kUnionAll;
-    EXPECT_EQ(EvaluateIncremental(seed, config, 3), reference)
+    EXPECT_EQ(EvaluateIncremental(fuzz, config, 3), reference)
         << "bytecode jit incremental";
   }
   // AOT planning reorders the update tree too; the delta atoms are
@@ -518,7 +590,7 @@ TEST_P(FuzzDifferential, IncrementalMatchesBatch) {
     core::EngineConfig config;
     config.aot_reorder = true;
     config.aot.use_fact_cardinalities = fact_cards;
-    EXPECT_EQ(EvaluateIncremental(seed, config, 3), reference)
+    EXPECT_EQ(EvaluateIncremental(fuzz, config, 3), reference)
         << (fact_cards ? "aot facts" : "aot rules-only") << " incremental";
   }
   // Pushdown off across epochs: incremental delta propagation must land
@@ -526,7 +598,7 @@ TEST_P(FuzzDifferential, IncrementalMatchesBatch) {
   {
     core::EngineConfig config;
     config.range_pushdown = false;
-    EXPECT_EQ(EvaluateIncremental(seed, config, 3), reference)
+    EXPECT_EQ(EvaluateIncremental(fuzz, config, 3), reference)
         << "pushdown off incremental";
   }
   // Adaptive re-kinding across incremental epochs: every Update() closes
@@ -538,7 +610,7 @@ TEST_P(FuzzDifferential, IncrementalMatchesBatch) {
     config.adaptive.min_probes = 1;
     config.adaptive.hysteresis_epochs = 1;
     config.adaptive.cooldown_epochs = 0;
-    EXPECT_EQ(EvaluateIncremental(seed, config, 4), reference)
+    EXPECT_EQ(EvaluateIncremental(fuzz, config, 4), reference)
         << "adaptive incremental";
   }
 }
@@ -550,14 +622,14 @@ TEST_P(FuzzDifferential, IncrementalMatchesBatch) {
 // The first life checkpoints mid-stream, so recovery crosses BOTH a
 // snapshot and a committed fact-log tail.
 TEST_P(FuzzDifferential, PersistedReopenMatchesBatch) {
-  const uint64_t seed = GetParam();
-  const Model reference = Evaluate(seed, core::EngineConfig{});
+  const FuzzCase& fuzz = GetParam();
+  const Model reference = Evaluate(fuzz, core::EngineConfig{});
 
   for (ir::EngineStyle style :
        {ir::EngineStyle::kPush, ir::EngineStyle::kPull}) {
     core::EngineConfig config;
     config.engine_style = style;
-    EXPECT_EQ(EvaluatePersisted(seed, config, 2,
+    EXPECT_EQ(EvaluatePersisted(fuzz, config, 2,
                                 ir::EngineStyleName(style)),
               reference)
         << ir::EngineStyleName(style) << " engine, persisted";
@@ -566,16 +638,16 @@ TEST_P(FuzzDifferential, PersistedReopenMatchesBatch) {
     core::EngineConfig config;
     config.num_threads = 4;
     config.parallel_min_outer_rows = 1;
-    EXPECT_EQ(EvaluatePersisted(seed, config, 3, "threads4"), reference)
+    EXPECT_EQ(EvaluatePersisted(fuzz, config, 3, "threads4"), reference)
         << "4 threads, persisted";
   }
 }
 
-// A shape the random programs rarely produce: a non-recursive lower
-// stratum (Path) read before the delta atom of a recursive rule. Path's
-// init-pass rows stay in its DeltaKnown, so bounding that atom to "old"
-// Path rows would hide all of them from Reach's loop; every engine must
-// still match naive evaluation.
+// The lower-stratum shape, directed: a non-recursive lower stratum (Path)
+// read before the delta atom of a recursive rule. Path's init-pass rows
+// stay its delta window, so bounding that atom to "old" Path rows would
+// hide all of them from Reach's loop; every engine must still match
+// naive evaluation.
 TEST(NaiveOracleTest, LowerStratumAtomBeforeTheDelta) {
   auto make = [](std::vector<datalog::PredicateId>* idb) {
     auto program = std::make_unique<Program>();
@@ -614,8 +686,71 @@ TEST(NaiveOracleTest, LowerStratumAtomBeforeTheDelta) {
   }
 }
 
+/// Seeds [first, last) of one kind.
+std::vector<FuzzCase> Cases(uint64_t first, uint64_t last,
+                            bool lower_stratum) {
+  std::vector<FuzzCase> cases;
+  for (uint64_t seed = first; seed < last; ++seed) {
+    cases.push_back({seed, lower_stratum});
+  }
+  return cases;
+}
+
+void CollectLoops(ir::IROp* op, std::vector<ir::IROp*>* loops) {
+  if (op->kind == ir::OpKind::kDoWhile) loops->push_back(op);
+  for (auto& child : op->children) CollectLoops(child.get(), loops);
+}
+
+void CollectSpjs(ir::IROp* op, std::vector<ir::IROp*>* spjs) {
+  if (op->kind == ir::OpKind::kSpj) spjs->push_back(op);
+  for (auto& child : op->children) CollectSpjs(child.get(), spjs);
+}
+
+/// True when `program` has the lower-stratum shape: in some stratum's
+/// loop, a join atom before the variant's delta atom (in rule order, the
+/// full tree's order) reads an IDB relation of a lower, non-recursive
+/// stratum.
+bool HasLowerStratumAtomBeforeTheDelta(Program* program) {
+  ir::IRProgram irp;
+  CARAC_CHECK_OK(ir::LowerProgram(program, /*declare_indexes=*/false, &irp));
+  std::map<datalog::PredicateId, size_t> stratum_of;
+  for (size_t s = 0; s < irp.strata.size(); ++s) {
+    for (datalog::PredicateId p : irp.strata[s].predicates) stratum_of[p] = s;
+  }
+  for (size_t s = 0; s < irp.strata.size(); ++s) {
+    std::vector<ir::IROp*> loops;
+    CollectLoops(irp.strata[s].full, &loops);
+    std::vector<ir::IROp*> spjs;
+    for (ir::IROp* loop : loops) CollectSpjs(loop, &spjs);
+    for (const ir::IROp* spj : spjs) {
+      int32_t join_idx = 0;
+      for (const ir::AtomSpec& atom : spj->atoms) {
+        if (!atom.is_join_atom()) continue;
+        if (join_idx++ >= spj->delta_pos) break;
+        const auto it = stratum_of.find(atom.predicate);
+        if (it != stratum_of.end() && it->second < s &&
+            irp.strata[it->second].recursive_predicates.empty()) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
+TEST(FuzzShapeTest, LowerStratumSeedsHaveTheShape) {
+  for (const FuzzCase& fuzz : Cases(1, 13, /*lower_stratum=*/true)) {
+    RandomProgram rp(fuzz);
+    EXPECT_TRUE(HasLowerStratumAtomBeforeTheDelta(rp.program.get()))
+        << "seed " << fuzz.seed;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferential,
-                         ::testing::Range<uint64_t>(1, 25));
+                         ::testing::ValuesIn(Cases(1, 25, false)));
+// The lower-stratum shape on top of seeds 1-12's programs.
+INSTANTIATE_TEST_SUITE_P(LowerStratumSeeds, FuzzDifferential,
+                         ::testing::ValuesIn(Cases(1, 13, true)));
 
 }  // namespace
 }  // namespace carac

@@ -549,7 +549,7 @@ TEST(IncrementalSemanticsTest, AotKeepsUpdateDeltasInFront) {
   std::function<void(ir::IROp*)> visit = [&](ir::IROp* op) {
     if (op->kind == ir::OpKind::kSpj) {
       ASSERT_FALSE(op->atoms.empty());
-      EXPECT_EQ(op->atoms[0].source, storage::DbKind::kDeltaKnown);
+      EXPECT_EQ(op->atoms[0].window, storage::RowWindow::kDelta);
     }
     for (auto& child : op->children) visit(child.get());
   };

@@ -131,16 +131,16 @@ TEST(ColumnIndexTest, BatchProbeMatchesPointProbes) {
   }
 }
 
-TEST(ColumnIndexTest, CursorsCutAtARowLimitMatchTheFilter) {
-  // RowCursor::Below relies on every kind returning ascending RowIds: the
-  // rows below a limit are then a prefix. 100 rows, keys row % 5; the
+TEST(ColumnIndexTest, CursorsCutToARowWindowMatchTheFilter) {
+  // RowCursor::Window relies on every kind returning ascending RowIds: the
+  // rows inside [lo, hi) are then one run. 100 rows, keys row % 5; the
   // stable prefix ends at row 60, so sorted-array and learned probes are
-  // two-span cursors (span 0 below 60, span 1 the hash tail). The limits
-  // fall inside span 0, at the span boundary, inside span 1, at either
-  // end, and at kAllRows, which cuts nothing.
+  // two-span cursors (span 0 below 60, span 1 the hash tail). Both ends
+  // take every bound: inside span 0, at the span boundary, inside span 1,
+  // at either end, and kAllRows; lo > hi must cut everything.
   constexpr RowId kRows = 100;
   constexpr RowId kStable = 60;
-  const RowId limits[] = {0, 1, 30, kStable - 1, kStable, kStable + 1, 80,
+  const RowId bounds[] = {0, 1, 30, kStable - 1, kStable, kStable + 1, 80,
                           kRows - 1, kRows, kAllRows};
   const Value keys[] = {0, 3, 3, 4, 7, 0, 1, 2};  // 7 matches nothing.
   constexpr size_t kBatch = sizeof(keys) / sizeof(keys[0]);
@@ -156,17 +156,22 @@ TEST(ColumnIndexTest, CursorsCutAtARowLimitMatchTheFilter) {
     }
     std::vector<RowCursor> batch(kBatch);
     index->BatchProbe(keys, kBatch, batch.data());
-    for (RowId limit : limits) {
-      SCOPED_TRACE("limit=" + std::to_string(limit));
-      for (size_t k = 0; k < kBatch; ++k) {
-        std::vector<RowId> expected;
-        for (RowId row = 0; row < std::min(limit, kRows); ++row) {
-          if (static_cast<Value>(row % 5) == keys[k]) expected.push_back(row);
+    for (RowId lo : bounds) {
+      for (RowId hi : bounds) {
+        SCOPED_TRACE("lo=" + std::to_string(lo) + " hi=" + std::to_string(hi));
+        for (size_t k = 0; k < kBatch; ++k) {
+          std::vector<RowId> expected;
+          for (RowId row = 0; row < kRows; ++row) {
+            if (row >= lo && row < hi &&
+                static_cast<Value>(row % 5) == keys[k]) {
+              expected.push_back(row);
+            }
+          }
+          EXPECT_EQ(Collect(index->Probe(keys[k]).Window(lo, hi)), expected)
+              << "probe key " << keys[k];
+          EXPECT_EQ(Collect(batch[k].Window(lo, hi)), expected)
+              << "batch key " << keys[k];
         }
-        EXPECT_EQ(Collect(index->Probe(keys[k]).Below(limit)), expected)
-            << "probe key " << keys[k];
-        EXPECT_EQ(Collect(batch[k].Below(limit)), expected)
-            << "batch key " << keys[k];
       }
     }
   }
@@ -314,14 +319,13 @@ TEST(RelationIndexKindTest, RedeclareReplacesKindAndRebuilds) {
   EXPECT_EQ(rel.Probe(0, 3).size(), 5u);
 }
 
-TEST(DatabaseIndexKindTest, DefaultKindAppliesToAllStores) {
+TEST(DatabaseIndexKindTest, DefaultKindAppliesToDerived) {
   DatabaseSet db;
   const RelationId r = db.AddRelation("R", 2);
   db.SetDefaultIndexKind(IndexKind::kSorted);
   db.DeclareIndex(r, 1);
   EXPECT_EQ(db.Get(r, DbKind::kDerived).IndexKindOf(1), IndexKind::kSorted);
-  EXPECT_EQ(db.Get(r, DbKind::kDeltaNew).IndexKindOf(1),
-            IndexKind::kSorted);
+  EXPECT_FALSE(db.Get(r, DbKind::kDeltaNew).HasIndex(1));  // Write-only.
   EXPECT_STREQ(IndexKindName(IndexKind::kSorted), "sorted");
   EXPECT_STREQ(IndexKindName(IndexKind::kHash), "hash");
   EXPECT_STREQ(IndexKindName(IndexKind::kBtree), "btree");

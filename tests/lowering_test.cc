@@ -79,7 +79,7 @@ TEST(LoweringTest, DeltaSplitOnePerRecursiveAtom) {
     int deltas = 0;
     for (const AtomSpec& atom : spj->atoms) {
       if (atom.is_relational() &&
-          atom.source == storage::DbKind::kDeltaKnown) {
+          atom.window == storage::RowWindow::kDelta) {
         ++deltas;
       }
     }
@@ -115,7 +115,7 @@ TEST(LoweringTest, LowerStratumAtomsReadDerived) {
   ASSERT_EQ(spjs.size(), 1u);
   for (const AtomSpec& atom : spjs[0]->atoms) {
     if (atom.is_relational()) {
-      EXPECT_EQ(atom.source, storage::DbKind::kDerived);
+      EXPECT_EQ(atom.window, storage::RowWindow::kAll);
     }
   }
 }
@@ -149,11 +149,11 @@ TEST(LoweringTest, UpdateTreeHasDeltaVariantPerPositiveAtom) {
   ASSERT_EQ(spjs.size(), 3u);
   for (IROp* spj : spjs) {
     ASSERT_FALSE(spj->atoms.empty());
-    EXPECT_EQ(spj->atoms[0].source, storage::DbKind::kDeltaKnown);
+    EXPECT_EQ(spj->atoms[0].window, storage::RowWindow::kDelta);
     int deltas = 0;
     for (const AtomSpec& atom : spj->atoms) {
       if (atom.is_relational() &&
-          atom.source == storage::DbKind::kDeltaKnown) {
+          atom.window == storage::RowWindow::kDelta) {
         ++deltas;
       }
     }
@@ -220,7 +220,7 @@ TEST(LoweringTest, AndersenUpdateVariantsJoinInConnectedOrder) {
     ASSERT_EQ(spjs.size(), 9u);  // 1 + 2 + 3 + 3 positive body atoms.
     for (IROp* spj : spjs) {
       ASSERT_FALSE(spj->atoms.empty());
-      EXPECT_EQ(spj->atoms[0].source, storage::DbKind::kDeltaKnown);
+      EXPECT_EQ(spj->atoms[0].window, storage::RowWindow::kDelta);
       EXPECT_TRUE(JoinsConnected(*spj))
           << OpToString(*spj, *w.program);
     }
@@ -331,7 +331,7 @@ TEST(LoweringTest, DisconnectedBodyKeepsDeltaFirstAndEveryAtom) {
   using Order = std::vector<datalog::PredicateId>;
   std::map<datalog::PredicateId, std::vector<Order>> orders;
   for (IROp* spj : spjs) {
-    ASSERT_EQ(spj->atoms[0].source, storage::DbKind::kDeltaKnown);
+    ASSERT_EQ(spj->atoms[0].window, storage::RowWindow::kDelta);
     Order order;
     for (const AtomSpec& atom : spj->atoms) order.push_back(atom.predicate);
     orders[spj->target].push_back(order);
@@ -357,8 +357,7 @@ std::string OldOnlyAtoms(IROp* tree, const Program& p) {
     out += "r" + std::to_string(spj->rule_index) + " d" +
            std::to_string(spj->delta_pos) + ":";
     for (const AtomSpec& atom : spj->atoms) {
-      if (!atom.old_only) continue;
-      EXPECT_EQ(atom.source, storage::DbKind::kDerived);
+      if (atom.window != storage::RowWindow::kOld) continue;
       out += " " + p.PredicateName(atom.predicate) + "(";
       for (size_t t = 0; t < atom.terms.size(); ++t) {
         if (t > 0) out += ",";

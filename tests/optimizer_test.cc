@@ -20,10 +20,10 @@ using ir::OpKind;
 
 AtomSpec RelAtom(datalog::PredicateId pred,
                  std::vector<LocalTerm> terms,
-                 storage::DbKind source = storage::DbKind::kDerived) {
+                 storage::RowWindow window = storage::RowWindow::kAll) {
   AtomSpec atom;
   atom.predicate = pred;
-  atom.source = source;
+  atom.window = window;
   atom.terms = std::move(terms);
   return atom;
 }
@@ -33,13 +33,14 @@ TEST(StatsSnapshotTest, CapturesCardinalitiesAndIndexes) {
   const auto r = db.AddRelation("R", 2);
   db.DeclareIndex(r, 1);
   db.InsertFact(r, {1, 2});
-  db.InsertFact(r, {3, 4});
-  db.Get(r, storage::DbKind::kDeltaKnown).Insert({5, 6});
+  db.Get(r, storage::DbKind::kDeltaNew).Insert({3, 4});
+  db.SwapClearMerge({r});  // Derived holds 2 rows, the delta window 1.
 
   StatsSnapshot snap = StatsSnapshot::Capture(db);
-  EXPECT_EQ(snap.Cardinality(r, storage::DbKind::kDerived), 2u);
-  EXPECT_EQ(snap.Cardinality(r, storage::DbKind::kDeltaKnown), 1u);
-  EXPECT_EQ(snap.Cardinality(r, storage::DbKind::kDeltaNew), 0u);
+  EXPECT_EQ(snap.Cardinality(r, storage::RowWindow::kAll), 2u);
+  EXPECT_EQ(snap.Cardinality(r, storage::RowWindow::kDelta), 1u);
+  // Old-only atoms are priced as all of Derived.
+  EXPECT_EQ(snap.Cardinality(r, storage::RowWindow::kOld), 2u);
   EXPECT_TRUE(snap.HasIndex(r, 1));
   EXPECT_FALSE(snap.HasIndex(r, 0));
 }
@@ -126,12 +127,12 @@ TEST_F(JoinOrderTest, EmptyDeltaGoesFirst) {
       RelAtom(big_, {LocalTerm::Var(0), LocalTerm::Var(1)}),
       RelAtom(mid_, {LocalTerm::Var(1), LocalTerm::Var(2)}),
       RelAtom(tiny_, {LocalTerm::Var(2), LocalTerm::Var(3)},
-              storage::DbKind::kDeltaKnown),  // Empty store.
+              storage::RowWindow::kDelta),  // Empty delta window.
   });
   StatsSnapshot stats = StatsSnapshot::Capture(db_);
   JoinOrderConfig config;
   ReorderSubquery(stats, config, op.get());
-  EXPECT_EQ(op->atoms[0].source, storage::DbKind::kDeltaKnown);
+  EXPECT_EQ(op->atoms[0].window, storage::RowWindow::kDelta);
 }
 
 TEST_F(JoinOrderTest, RulesOnlyModeIgnoresCardinalities) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <initializer_list>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "storage/database.h"
@@ -208,15 +211,33 @@ TEST(RelationTest, NullaryRelationHoldsAtMostOneRow) {
   EXPECT_EQ(rows_seen, 1u);
 }
 
-TEST(DatabaseSetTest, ThreeStoresPerRelation) {
+/// The Derived rows in `r`'s delta window, in RowId order.
+std::vector<Tuple> DeltaRows(const DatabaseSet& db, RelationId r) {
+  const RowInterval window = db.Window(r, RowWindow::kDelta);
+  const Relation& derived = db.Get(r, DbKind::kDerived);
+  std::vector<Tuple> rows;
+  for (RowId row = window.lo; row < window.hi; ++row) {
+    rows.push_back(derived.View(row).ToTuple());
+  }
+  return rows;
+}
+
+/// Makes `rows` `r`'s delta window the way an iteration does: emit them
+/// into DeltaNew, then merge.
+void MergeDelta(DatabaseSet* db, RelationId r,
+                std::initializer_list<Tuple> rows) {
+  for (const Tuple& row : rows) db->Get(r, DbKind::kDeltaNew).Insert(row);
+  db->SwapClearMerge({r});
+}
+
+TEST(DatabaseSetTest, TwoStoresAndADeltaWindowPerRelation) {
   DatabaseSet db;
   const RelationId r = db.AddRelation("R", 2);
   db.Get(r, DbKind::kDerived).Insert({1, 2});
-  db.Get(r, DbKind::kDeltaKnown).Insert({3, 4});
   db.Get(r, DbKind::kDeltaNew).Insert({5, 6});
   EXPECT_EQ(db.Get(r, DbKind::kDerived).size(), 1u);
-  EXPECT_EQ(db.Get(r, DbKind::kDeltaKnown).size(), 1u);
   EXPECT_EQ(db.Get(r, DbKind::kDeltaNew).size(), 1u);
+  EXPECT_EQ(db.DeltaSize(r), 0u);
   EXPECT_EQ(db.RelationName(r), "R");
   EXPECT_EQ(db.RelationArity(r), 2u);
 }
@@ -225,37 +246,43 @@ TEST(DatabaseSetTest, SwapClearMergeSemantics) {
   DatabaseSet db;
   const RelationId r = db.AddRelation("R", 2);
   db.InsertFact(r, {1, 1});                        // Derived seed.
-  db.Get(r, DbKind::kDeltaKnown).Insert({9, 9});   // Stale delta.
+  MergeDelta(&db, r, {{9, 9}});                    // Previous delta.
   db.Get(r, DbKind::kDeltaNew).Insert({2, 2});     // This iteration.
 
   db.SwapClearMerge({r});
 
-  // New delta became known; old known is gone; derived gained the merge.
-  EXPECT_TRUE(db.Get(r, DbKind::kDeltaKnown).Contains({2, 2}));
-  EXPECT_FALSE(db.Get(r, DbKind::kDeltaKnown).Contains({9, 9}));
+  // The new rows are the delta; the previous delta is old; DeltaNew is
+  // empty; derived gained the merge.
+  EXPECT_EQ(DeltaRows(db, r), (std::vector<Tuple>{{2, 2}}));
+  EXPECT_EQ(db.OldRowLimit(r), 2u);
   EXPECT_EQ(db.Get(r, DbKind::kDeltaNew).size(), 0u);
   EXPECT_TRUE(db.Get(r, DbKind::kDerived).Contains({1, 1}));
+  EXPECT_TRUE(db.Get(r, DbKind::kDerived).Contains({9, 9}));
   EXPECT_TRUE(db.Get(r, DbKind::kDerived).Contains({2, 2}));
 }
 
-TEST(DatabaseSetTest, DeltaKnownSubsetOfDerivedAfterSwap) {
+TEST(DatabaseSetTest, DeltaWindowSubsetOfDerivedAfterSwap) {
   DatabaseSet db;
   const RelationId r = db.AddRelation("R", 1);
-  db.Get(r, DbKind::kDeltaNew).Insert({7});
-  db.SwapClearMerge({r});
-  for (TupleView t : db.Get(r, DbKind::kDeltaKnown).rows()) {
+  MergeDelta(&db, r, {{7}});
+  const std::vector<Tuple> delta = DeltaRows(db, r);
+  EXPECT_EQ(delta, (std::vector<Tuple>{{7}}));
+  for (const Tuple& t : delta) {
     EXPECT_TRUE(db.Get(r, DbKind::kDerived).Contains(t));
   }
 }
 
-TEST(DatabaseSetTest, AnyDeltaKnownNonEmpty) {
+TEST(DatabaseSetTest, AnyDeltaNonEmpty) {
   DatabaseSet db;
   const RelationId a = db.AddRelation("A", 1);
   const RelationId b = db.AddRelation("B", 1);
-  EXPECT_FALSE(db.AnyDeltaKnownNonEmpty({a, b}));
-  db.Get(b, DbKind::kDeltaKnown).Insert({1});
-  EXPECT_TRUE(db.AnyDeltaKnownNonEmpty({a, b}));
-  EXPECT_FALSE(db.AnyDeltaKnownNonEmpty({a}));
+  EXPECT_FALSE(db.AnyDeltaNonEmpty({a, b}));
+  MergeDelta(&db, b, {{1}});
+  EXPECT_TRUE(db.AnyDeltaNonEmpty({a, b}));
+  EXPECT_FALSE(db.AnyDeltaNonEmpty({a}));
+  // A merge of nothing empties the window: the `diff` test's fixpoint.
+  db.SwapClearMerge({b});
+  EXPECT_FALSE(db.AnyDeltaNonEmpty({a, b}));
 }
 
 TEST(DatabaseSetTest, IndexingDisabledMakesDeclareNoOp) {
@@ -269,23 +296,30 @@ TEST(DatabaseSetTest, IndexingDisabledMakesDeclareNoOp) {
   EXPECT_TRUE(db.Get(r, DbKind::kDerived).HasIndex(0));
 }
 
-TEST(DatabaseSetTest, DeclareIndexCoversAllStores) {
+TEST(DatabaseSetTest, DeclareIndexCoversDerivedOnly) {
+  // DeltaNew is write-only (the emit dedup probes its dedup table), so it
+  // carries no index; RedeclareIndex re-kinds Derived alone.
   DatabaseSet db;
   const RelationId r = db.AddRelation("R", 2);
-  db.DeclareIndex(r, 1);
+  db.DeclareIndex(r, 1, IndexKind::kHash);
   EXPECT_TRUE(db.Get(r, DbKind::kDerived).HasIndex(1));
-  EXPECT_TRUE(db.Get(r, DbKind::kDeltaKnown).HasIndex(1));
-  EXPECT_TRUE(db.Get(r, DbKind::kDeltaNew).HasIndex(1));
+  EXPECT_FALSE(db.Get(r, DbKind::kDeltaNew).HasIndex(1));
+  db.RedeclareIndex(r, 1, IndexKind::kBtree);
+  EXPECT_EQ(db.Get(r, DbKind::kDerived).IndexKindOf(1), IndexKind::kBtree);
+  EXPECT_FALSE(db.Get(r, DbKind::kDeltaNew).HasIndex(1));
 }
 
 TEST(DatabaseSetTest, ClearAllEmptiesEverything) {
   DatabaseSet db;
   const RelationId r = db.AddRelation("R", 1);
   db.InsertFact(r, {1});
-  db.Get(r, DbKind::kDeltaKnown).Insert({2});
+  MergeDelta(&db, r, {{2}});
+  db.Get(r, DbKind::kDeltaNew).Insert({3});
   db.ClearAll();
   EXPECT_EQ(db.Get(r, DbKind::kDerived).size(), 0u);
-  EXPECT_EQ(db.Get(r, DbKind::kDeltaKnown).size(), 0u);
+  EXPECT_EQ(db.Get(r, DbKind::kDeltaNew).size(), 0u);
+  EXPECT_EQ(db.DeltaSize(r), 0u);
+  EXPECT_EQ(db.OldRowLimit(r), 0u);
 }
 
 TEST(RelationTest, WatermarkTracksEpochBoundary) {
@@ -302,89 +336,101 @@ TEST(RelationTest, WatermarkTracksEpochBoundary) {
   EXPECT_EQ(r.watermark(), 0u);  // A cleared relation starts over.
 }
 
-TEST(DatabaseSetTest, SeedDeltaFromWatermarkCopiesOnlyNewRows) {
+TEST(DatabaseSetTest, SeedDeltaFromWatermarkWindowsOnlyNewRows) {
   DatabaseSet db;
   const RelationId r = db.AddRelation("R", 1);
   db.InsertFact(r, {1});
+  MergeDelta(&db, r, {{9}});  // A window the epoch leaves behind.
   db.AdvanceEpoch();
   db.InsertFact(r, {2});
   db.InsertFact(r, {3});
-  db.Get(r, DbKind::kDeltaKnown).Insert({9});  // Residue: must be dropped.
+  db.Get(r, DbKind::kDeltaNew).Insert({8});  // Residue: must be dropped.
   EXPECT_TRUE(db.ChangedSinceWatermark(r));
   EXPECT_EQ(db.SeedDeltaFromWatermark(r), 2u);
-  EXPECT_EQ(db.Get(r, DbKind::kDeltaKnown).size(), 2u);
-  EXPECT_TRUE(db.Get(r, DbKind::kDeltaKnown).Contains({2}));
-  EXPECT_TRUE(db.Get(r, DbKind::kDeltaKnown).Contains({3}));
-  EXPECT_FALSE(db.Get(r, DbKind::kDeltaKnown).Contains({9}));
+  EXPECT_EQ(DeltaRows(db, r), (std::vector<Tuple>{{2}, {3}}));
+  EXPECT_EQ(db.Get(r, DbKind::kDeltaNew).size(), 0u);
   db.AdvanceEpoch();
   EXPECT_FALSE(db.ChangedSinceWatermark(r));
   EXPECT_EQ(db.SeedDeltaFromWatermark(r), 0u);
-  EXPECT_EQ(db.Get(r, DbKind::kDeltaKnown).size(), 0u);
+  EXPECT_EQ(db.DeltaSize(r), 0u);
+  EXPECT_EQ(db.OldRowLimit(r), 4u);
 }
 
-/// The tail invariant OldRowLimit rests on: DeltaKnown row k is Derived
-/// row OldRowLimit + k, for every k.
-void ExpectDeltaKnownIsTheTail(const DatabaseSet& db, RelationId r) {
-  const Relation& derived = db.Get(r, DbKind::kDerived);
-  const Relation& known = db.Get(r, DbKind::kDeltaKnown);
-  const RowId limit = db.OldRowLimit(r);
-  ASSERT_EQ(limit + known.NumRows(), derived.NumRows());
-  for (RowId k = 0; k < known.NumRows(); ++k) {
-    EXPECT_EQ(derived.View(limit + k), known.View(k)) << "k=" << k;
-  }
+/// `r`'s delta window is [lo, Derived's row count).
+void ExpectWindow(const DatabaseSet& db, RelationId r, RowId lo) {
+  const RowId rows = db.Get(r, DbKind::kDerived).NumRows();
+  EXPECT_EQ(db.OldRowLimit(r), lo);
+  const RowInterval delta = db.Window(r, RowWindow::kDelta);
+  EXPECT_EQ(delta.lo, lo);
+  EXPECT_EQ(delta.hi, rows);
+  const RowInterval old = db.Window(r, RowWindow::kOld);
+  EXPECT_EQ(old.lo, 0u);
+  EXPECT_EQ(old.hi, lo);
+  EXPECT_EQ(db.DeltaSize(r), rows - lo);
 }
 
-TEST(DatabaseSetTest, DeltaKnownIsTheTailOfDerived) {
+TEST(DatabaseSetTest, DeltaWindowFollowsEveryTransition) {
   DatabaseSet db;
   const RelationId r = db.AddRelation("R", 2);
+  ExpectWindow(db, r, 0);
   db.InsertFact(r, {1, 1});
   db.InsertFact(r, {1, 2});
-  ExpectDeltaKnownIsTheTail(db, r);
-  EXPECT_EQ(db.OldRowLimit(r), 2u);
 
   // Init pass: DeltaNew holds rows new to Derived (the emit dedup), in
-  // emission order, not value order.
-  for (Value v : {5, 3, 4}) db.Get(r, DbKind::kDeltaNew).Insert({v, v});
-  db.SwapClearMerge({r});
-  ExpectDeltaKnownIsTheTail(db, r);
-  EXPECT_EQ(db.OldRowLimit(r), 2u);
+  // emission order, not value order; they become the window as appended.
+  MergeDelta(&db, r, {{5, 5}, {3, 3}, {4, 4}});
+  ExpectWindow(db, r, 2);
+  EXPECT_EQ(DeltaRows(db, r), (std::vector<Tuple>{{5, 5}, {3, 3}, {4, 4}}));
 
   // A loop iteration: the previous delta becomes old.
-  for (Value v : {9, 7}) db.Get(r, DbKind::kDeltaNew).Insert({v, v});
-  db.SwapClearMerge({r});
-  ExpectDeltaKnownIsTheTail(db, r);
-  EXPECT_EQ(db.OldRowLimit(r), 5u);
+  MergeDelta(&db, r, {{9, 9}, {7, 7}});
+  ExpectWindow(db, r, 5);
+  EXPECT_EQ(DeltaRows(db, r), (std::vector<Tuple>{{9, 9}, {7, 7}}));
 
   // The last iteration derives nothing: every row is old.
   db.SwapClearMerge({r});
-  ExpectDeltaKnownIsTheTail(db, r);
-  EXPECT_EQ(db.OldRowLimit(r), 7u);
+  ExpectWindow(db, r, 7);
 
-  // An update epoch seeds DeltaKnown from the rows past the watermark.
+  // An update epoch windows the rows past the watermark.
   db.AdvanceEpoch();
   db.InsertFact(r, {20, 20});
   db.InsertFact(r, {21, 21});
   EXPECT_EQ(db.SeedDeltaFromWatermark(r), 2u);
-  ExpectDeltaKnownIsTheTail(db, r);
-  EXPECT_EQ(db.OldRowLimit(r), 7u);
+  ExpectWindow(db, r, 7);
+  EXPECT_EQ(DeltaRows(db, r), (std::vector<Tuple>{{20, 20}, {21, 21}}));
 
-  // Stratum recompute: back to the EDB facts, with an empty DeltaKnown.
+  // A saved snapshot opens with an empty window at Derived's end.
+  const std::string path = ::testing::TempDir() + "carac_delta_window.snap";
+  ASSERT_TRUE(db.SaveSnapshot(path).ok());
+  DatabaseSet opened;
+  ASSERT_TRUE(opened.OpenSnapshot(path).ok());
+  std::remove(path.c_str());
+  ExpectWindow(opened, r, 9);
+
+  // Stratum recompute: back to the EDB facts, with an empty window.
   db.ResetToEdbFacts(r);
-  ExpectDeltaKnownIsTheTail(db, r);
-  EXPECT_EQ(db.OldRowLimit(r), 4u);
+  ExpectWindow(db, r, 4);
+
+  // Unloading the relation empties it and its window.
+  db.ClearFacts(r);
+  ExpectWindow(db, r, 0);
 }
 
-TEST(DatabaseSetDeathTest, OldRowLimitRejectsADeltaKnownThatIsNotTheTail) {
+TEST(DatabaseSetDeathTest, OldRowLimitRejectsDerivedGrowthPastTheWindow) {
+  // A window ends at Derived's last row: only the merge and the seed set
+  // one, and SPJs write DeltaNew. A Derived that grew past it (here by a
+  // direct insert) makes every windowed read CHECK-fail.
   DatabaseSet db;
   const RelationId r = db.AddRelation("R", 2);
   db.InsertFact(r, {1, 1});
-  db.InsertFact(r, {2, 2});
-  db.Get(r, DbKind::kDeltaKnown).Insert({1, 1});  // Derived's head row.
+  MergeDelta(&db, r, {{2, 2}});
+  ASSERT_EQ(db.OldRowLimit(r), 1u);
+  db.Get(r, DbKind::kDerived).Insert({3, 3});
   EXPECT_DEATH(db.OldRowLimit(r), "CARAC_CHECK failed");
-  // More delta rows than Derived holds cannot be its tail either.
-  db.Get(r, DbKind::kDeltaKnown).Insert({2, 2});
-  db.Get(r, DbKind::kDeltaKnown).Insert({3, 3});
-  EXPECT_DEATH(db.OldRowLimit(r), "CARAC_CHECK failed");
+  EXPECT_DEATH(db.Window(r, RowWindow::kDelta), "CARAC_CHECK failed");
+  EXPECT_DEATH(db.Window(r, RowWindow::kOld), "CARAC_CHECK failed");
+  // Reading every row needs no window.
+  EXPECT_EQ(db.Window(r, RowWindow::kAll).hi, kAllRows);
 }
 
 TEST(DatabaseSetTest, AdvanceEpochCounts) {
@@ -403,13 +449,14 @@ TEST(DatabaseSetTest, ResetToEdbFactsDropsDerivedKeepsEdb) {
   db.InsertFact(r, {1});                      // EDB.
   db.Get(r, DbKind::kDerived).Insert({2});    // Derived by a rule.
   db.InsertFact(r, {3});                      // EDB appended after it.
-  db.Get(r, DbKind::kDeltaKnown).Insert({4});
+  MergeDelta(&db, r, {{4}});
   db.ResetToEdbFacts(r);
   EXPECT_EQ(db.Get(r, DbKind::kDerived).size(), 2u);
   EXPECT_TRUE(db.Get(r, DbKind::kDerived).Contains({1}));
   EXPECT_FALSE(db.Get(r, DbKind::kDerived).Contains({2}));
   EXPECT_TRUE(db.Get(r, DbKind::kDerived).Contains({3}));
-  EXPECT_EQ(db.Get(r, DbKind::kDeltaKnown).size(), 0u);
+  EXPECT_FALSE(db.Get(r, DbKind::kDerived).Contains({4}));
+  EXPECT_EQ(db.DeltaSize(r), 0u);
   // The reset is itself re-resettable: EDB bookkeeping was rebuilt.
   db.Get(r, DbKind::kDerived).Insert({5});
   db.ResetToEdbFacts(r);
@@ -436,11 +483,16 @@ TEST(DatabaseSetTest, IndexesSurviveSwapClear) {
   DatabaseSet db;
   const RelationId r = db.AddRelation("R", 2);
   db.DeclareIndex(r, 0);
-  db.Get(r, DbKind::kDeltaNew).Insert({4, 5});
-  db.SwapClearMerge({r});
-  // The swapped-in known store must still answer probes.
-  EXPECT_EQ(db.Get(r, DbKind::kDeltaKnown).Probe(0, 4).size(), 1u);
-  EXPECT_EQ(db.Get(r, DbKind::kDerived).Probe(0, 4).size(), 1u);
+  db.InsertFact(r, {4, 1});
+  MergeDelta(&db, r, {{4, 5}});
+  // The merged rows answer Derived's probes, and the window cut of the
+  // bucket is exactly the delta row.
+  const RowCursor bucket = db.Get(r, DbKind::kDerived).Probe(0, 4);
+  EXPECT_EQ(bucket.size(), 2u);
+  const RowInterval delta = db.Window(r, RowWindow::kDelta);
+  const RowCursor cut = bucket.Window(delta.lo, delta.hi);
+  ASSERT_EQ(cut.size(), 1u);
+  EXPECT_EQ(cut[0], 1u);
 }
 
 TEST(ReadViewTest, PinnedViewSurvivesArenaGrowth) {
